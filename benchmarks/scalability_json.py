@@ -324,6 +324,9 @@ def run(args) -> dict:
             )
         del wtp
 
+    # A merge also keeps the sections other scripts layer into the record
+    # (the churn cell of benchmarks/churn.py); this run's keys replace theirs.
+    carried: dict = {}
     if args.merge_existing and args.output.exists():
         # Retain previously recorded cells this invocation did not re-run
         # (keyed by algorithm × backend × factor), so multi-minute history —
@@ -360,8 +363,10 @@ def run(args) -> dict:
                 r.setdefault("retained_from_previous_record", True)
             runs = retained + runs
             runs.sort(key=lambda r: (r["clone_factor"], r["algorithm"], r["backend"]))
+            carried = previous
 
     return {
+        **carried,
         "benchmark": "scalability (Figure 7a workload, matching, capped iterations)",
         "base": {
             "n_users": args.base_users,

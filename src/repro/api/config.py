@@ -179,8 +179,9 @@ class EngineConfig:
     Backend parameters (see :class:`RevenueEngine` for full semantics)
     ------------------------------------------------------------------
     ``precision``/``storage`` override the WTP backend (``None`` keeps the
-    matrix as given); ``chunk_elements`` budgets the streaming buffers
-    (``None`` disables chunking); ``n_workers`` fans chunk scans out over
+    matrix as given); ``chunk_elements`` is the streaming buffers' memory
+    ceiling (the pure scan works in smaller cache-sized blocks below it;
+    ``None`` disables chunking); ``n_workers`` fans chunk scans out over
     ``executor`` workers (``"thread"`` default, ``"process"`` for
     shared-memory multi-core scans, ``"serial"`` to force in-order
     execution); ``state_dtype`` stores mixed-strategy subtree states in

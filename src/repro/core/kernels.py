@@ -12,9 +12,13 @@ the vectorized pricing kernels of :mod:`repro.core.pricing`.  Because every
 pricing kernel is column-independent, chunked results are bit-identical to
 the unchunked scan.
 
-Peak working memory of a streamed scan is a small constant multiple of
-``8 · chunk_elements`` bytes (the fill buffer plus the pricing kernel's own
-per-chunk temporaries), independent of how many candidates are scanned.
+Peak working memory of a streamed scan is independent of how many
+candidates are scanned.  The mixed scan's is a small constant multiple of
+``8 · chunk_elements`` bytes (its fill buffers plus the pricing kernel's
+per-chunk temporaries).  The pure scan caps its chunks at
+:data:`PURE_BLOCK_ELEMENTS` whenever chunking is on, so its fill buffer
+and the histogram kernel's two work buffers stay cache-sized (about 3 MB)
+below any larger ``chunk_elements``; the budget remains its ceiling.
 
 Parallel execution
 ------------------
@@ -105,6 +109,14 @@ from repro.core.retry import (
     record_retry_attempt,
 )
 from repro.errors import ExecutorError, ScanTimeoutError, ValidationError
+
+#: Column cap of the pure scan, in elements of its ``(M, width)`` fill
+#: buffer (1 MB of float64).  The histogram kernel makes a few passes over
+#: each chunk (fill, division, cast, ``bincount``); a block this size stays
+#: in a per-core L2 cache across them, where a ``chunk_elements``-sized
+#: block streams every pass through DRAM.  Pricing is column-independent,
+#: so the cap changes timings and memory, never a bit of the result.
+PURE_BLOCK_ELEMENTS = 1 << 17
 
 #: Per-candidate fill buffers of the mixed scan: one ``(M, width)`` column
 #: each for bundle WTP, base score, and base payment.  ``chunk_width``
@@ -322,6 +334,16 @@ def _worker_fault_point() -> None:
         time.sleep(delay)
 
 
+def _pure_scan_buffer(n_users: int, width: int) -> np.ndarray:
+    """One worker's pure-scan fill buffer, column-major.
+
+    Fortran order makes every candidate column ``block[:, k]`` contiguous,
+    so a fill writes each column in one unit-stride pass and the pricing
+    kernel reads it the same way.
+    """
+    return np.empty((n_users, width), dtype=np.float64, order="F")
+
+
 def _price_pure_chunk(fill, buffer, start, stop, adoption, grid, chunk_elements):
     """Fill and price one pure chunk: the single arithmetic both executors run.
 
@@ -382,7 +404,7 @@ def _pure_chunk_subset(
     chunk — O(width) floats each, so result transport is negligible next
     to the pricing work.
     """
-    buffer = np.empty((n_users, width), dtype=np.float64)
+    buffer = _pure_scan_buffer(n_users, width)
     results = []
     try:
         for start, stop in chunks:
@@ -579,15 +601,21 @@ def stream_pure_prices(
 
     ``fill(block, start, stop)`` must write the per-user WTP columns for
     candidates ``[start, stop)`` into ``block`` (shape ``(n_users,
-    stop-start)``, float64).  Buffers are reused across chunks, so ``fill``
-    must overwrite every entry it is handed; with ``n_workers > 1`` chunks
-    run concurrently (one private buffer per worker), so ``fill`` must also
-    be thread-safe (``executor="thread"``) or picklable
-    (``executor="process"`` — see the module docstring; the engine passes
+    stop-start)``, float64).  ``block`` is column-major (Fortran order) on
+    every executor, so each candidate column ``block[:, k]`` is contiguous
+    and a fill can write it in one unit-stride ``out=`` pass.  Buffers are
+    reused across chunks, so ``fill`` must overwrite every entry it is
+    handed; with ``n_workers > 1`` chunks run concurrently (one private
+    buffer per worker), so ``fill`` must also be thread-safe
+    (``executor="thread"``) or picklable (``executor="process"`` — see the
+    module docstring; the engine passes
     :class:`repro.core.shm.SharedPairFill` so workers attach to shared
     parent rows by name).
 
-    Returns ``(prices, revenues, buyers)`` of length ``n_columns`` —
+    Chunks hold at most ``min(chunk_elements, PURE_BLOCK_ELEMENTS)``
+    elements (at least one column); ``chunk_elements=None`` prices every
+    column in one chunk.  The ``scan.pure_prices`` span records the width
+    used.  Returns ``(prices, revenues, buyers)`` of length ``n_columns`` —
     bit-identical to pricing one giant stacked array, at bounded memory,
     for any chunk budget, worker count, and executor.  *retry* governs the
     process path's retries/timeout and whether the scan may degrade
@@ -601,12 +629,16 @@ def stream_pure_prices(
     buyers = np.zeros(n_columns)
     if n_columns == 0:
         return prices, revenues, buyers
-    width = chunk_width(n_columns, n_users, chunk_elements)
+    budget = chunk_elements
+    if budget is not None:
+        budget = min(budget, PURE_BLOCK_ELEMENTS)
+    width = chunk_width(n_columns, n_users, budget)
     chunks = list(iter_chunks(n_columns, width))
     executor, n_workers = _resolve_execution(executor, n_workers, len(chunks))
     started = time.monotonic()
     with obs.span("scan.pure_prices", columns=n_columns, users=n_users,
-                  chunks=len(chunks), executor=executor, workers=n_workers):
+                  chunks=len(chunks), width=width, executor=executor,
+                  workers=n_workers):
         _run_pure_scan(fill, chunks, width, n_users, adoption, grid,
                        chunk_elements, executor, n_workers, retry,
                        prices, revenues, buyers)
@@ -646,7 +678,7 @@ def _run_pure_scan(fill, chunks, width, n_users, adoption, grid, chunk_elements,
             return
 
     def make_buffers() -> tuple:
-        return (np.empty((n_users, width), dtype=np.float64),)
+        return (_pure_scan_buffer(n_users, width),)
 
     def process(buffers: tuple, start: int, stop: int) -> None:
         (buffer,) = buffers

@@ -289,16 +289,23 @@ def price_pure_batch(
     the streaming kernels of :mod:`repro.core.kernels` rely on this.
 
     For the deterministic model the scan uses a per-column histogram of
-    effective WTP over the grid (O(M + T) per column, fully vectorized).
-    For the sigmoid model it uses the paper's own consumer-bucketing device
-    (Section 4.2): users are bucketed by effective WTP, and because bucket
-    centres and price levels share one linear grid, only ``2T−1`` sigmoid
-    evaluations are needed per column.  ``chunk_elements`` bounds the
-    explicit-grid and sigmoid paths' (levels × users × columns) temporaries
-    (bounded at the 4M-element default for callers that never think about
-    chunking; ``None`` disables the bound).  Those paths reduce per-user
-    values through :func:`tree_sum`, so the budget never changes a bit of
-    the result.
+    effective WTP over the grid (O(M + T) per column, fully vectorized) in a
+    handful of ``M × B`` passes: no affine pass when ``alpha = 1`` and
+    ``epsilon = 0``, no copy when every column is live, one work buffer for
+    the bucket division, and one ``bincount`` over the bucket ids of all
+    columns.  Its working memory is about two ``M × B`` buffers whatever
+    ``chunk_elements`` says, so callers bound ``B`` (the streamed scans of
+    :mod:`repro.core.kernels` pass cache-sized blocks).  Column-major
+    (Fortran-order) input keeps every pass contiguous; any layout gives
+    the same bits.
+
+    For the sigmoid model the expected buyers at each level are summed
+    exactly over users (:func:`_sigmoid_buyers_exact`).  ``chunk_elements``
+    bounds the explicit-grid and sigmoid paths' (levels × users × columns)
+    temporaries (bounded at the 4M-element default for callers that never
+    think about chunking; ``None`` disables the bound).  Those paths reduce
+    per-user values through :func:`tree_sum`, so the budget never changes a
+    bit of the result.
     """
     adoption = adoption or StepAdoption()
     grid = grid or PriceGrid()
@@ -311,7 +318,10 @@ def price_pure_batch(
     if grid.mode == "exact":
         return _price_exact_batch(columns, adoption)
 
-    effective = adoption.alpha * columns + adoption.epsilon
+    if adoption.alpha == 1.0 and adoption.epsilon == 0.0:
+        effective = columns  # α·x + ε is x itself; skip the pass
+    else:
+        effective = adoption.alpha * columns + adoption.epsilon
     tops = effective.max(axis=0)
     n_levels = grid.n_levels
     prices = np.zeros(n_bundles)
@@ -321,35 +331,41 @@ def price_pure_batch(
     if not np.any(live):
         return prices, revenues, buyers_out
 
-    eff_live = effective[:, live]
-    tops_live = tops[live]
+    all_live = bool(live.all())
+    eff_live = effective if all_live else effective[:, live]
+    tops_live = tops if all_live else tops[live]
     step = tops_live / n_levels  # level t (1-based) sits at t * step
-    # Bucket users: level index such that user adopts at levels <= idx.
-    # The tolerance keeps WTP values that sit exactly on a level (common
-    # with ratings-derived WTP) in the bucket they belong to.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        idx = np.floor(eff_live / step[None, :] + 1e-6).astype(np.int64)
-    np.clip(idx, 0, n_levels, out=idx)
+    levels = step[None, :] * np.arange(1, n_levels + 1)[:, None]
 
     if adoption.is_deterministic:
-        # buyers at level t = #users with effective >= t*step = #users with idx >= t.
-        # bincount over a flattened (level, column) key is an order of
-        # magnitude faster than np.add.at and produces the same exact
-        # integer counts.
+        # Bucket users: level index such that user adopts at levels <= idx.
+        # The tolerance keeps WTP values that sit exactly on a level (common
+        # with ratings-derived WTP) in the bucket they belong to.  The cast
+        # truncates rather than floors; after the integer clip to [0, T] the
+        # two agree on every input (they differ only below zero, where both
+        # clip to 0).  The clip must stay after the cast, in integers: when
+        # a subnormal top makes step == 0, zero-WTP users divide to nan,
+        # which only the cast-then-clip sends to bucket 0.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            work = np.divide(eff_live, step)
+            work += 1e-6
+            idx = work.astype(np.intp)
+        np.clip(idx, 0, n_levels, out=idx)
+        # buyers at level t = #users with idx >= t.  One bincount over
+        # (column, level) keys — column k owns bins k·(T+1) .. k·(T+1)+T —
+        # gives exact integer counts; ravel(order="K") walks idx in memory
+        # order without a copy.
         n_cols = idx.shape[1]
-        flat = idx * n_cols + np.arange(n_cols)[None, :]
-        hist = (
-            np.bincount(flat.ravel(), minlength=(n_levels + 1) * n_cols)
-            .reshape(n_levels + 1, n_cols)
-            .astype(np.float64)
-        )
-        from_top = np.cumsum(hist[::-1, :], axis=0)[::-1, :]
-        buyers_levels = from_top[1:, :]  # level t (1-based) -> count idx >= t
-        levels = step[None, :] * np.arange(1, n_levels + 1)[:, None]
+        idx += np.arange(0, n_cols * (n_levels + 1), n_levels + 1)
+        counts = np.bincount(
+            idx.ravel(order="K"), minlength=(n_levels + 1) * n_cols
+        ).reshape(n_cols, n_levels + 1)
+        # Level t (1-based) -> count of idx >= t: a suffix sum over levels.
+        from_top = np.cumsum(counts[:, :0:-1], axis=1)[:, ::-1]
+        buyers_levels = from_top.T.astype(np.float64)
         revenue_levels = levels * buyers_levels
     else:
         gamma = getattr(adoption, "gamma", 1.0)
-        levels = step[None, :] * np.arange(1, n_levels + 1)[:, None]
         buyers_levels = _sigmoid_buyers_exact(
             columns[:, live], eff_live, levels, gamma, chunk_elements=chunk_elements
         )

@@ -16,8 +16,9 @@ revenue computation the configuration algorithms need:
 Memory discipline
 -----------------
 The pair scans are *streamed* through :mod:`repro.core.kernels`: candidate
-columns are materialized at most ``chunk_elements`` values at a time, so a
-scan over ~N²/2 candidates runs in O(chunk) rather than O(M·N²) memory.  A
+columns are materialized at most ``chunk_elements`` values at a time (the
+pure scan at most a cache-sized block of them), so a scan over ~N²/2
+candidates runs in O(chunk) rather than O(M·N²) memory.  A
 merged candidate's raw WTP is assembled incrementally as ``raw(b1) +
 raw(b2)`` from its cached parents instead of re-gathering item columns, and
 the raw-vector cache itself is LRU-bounded so arbitrarily long greedy runs
@@ -171,11 +172,15 @@ class RevenueEngine:
     objective:
         Optional generalized objective; ``None`` means revenue maximization.
     chunk_elements:
-        Element budget for the streaming pair-scan buffers; peak working
-        memory of a batch pricing call is a small constant multiple of
-        ``8 · chunk_elements`` bytes regardless of how many candidates are
-        scanned.  ``None`` disables chunking (the original unbounded
-        behaviour — O(M·N²) at scale).
+        Element ceiling for the streaming pair-scan buffers, whatever the
+        number of candidates scanned.  The mixed scan's working memory is a
+        small constant multiple of ``8 · chunk_elements`` bytes; the pure
+        scan runs in cache-sized blocks of at most
+        :data:`~repro.core.kernels.PURE_BLOCK_ELEMENTS` and narrower ones
+        only when this budget is smaller.  It is part of the fingerprinted
+        provenance, though no value changes a bit of the prices.  ``None``
+        disables chunking (the original unbounded behaviour — O(M·N²) at
+        scale).
     precision:
         WTP storage dtype override: ``"float64"`` (default) or
         ``"float32"`` (half the matrix memory; pricing differs only by

@@ -922,8 +922,9 @@ class ServingSupervisor:
             self._retire_store(new_store)
             self.reload_failures += 1
             self.last_reload_error = str(exc)
-            if isinstance(exc, ReloadError):
-                raise
+            # Wrap rotation ReloadErrors too: whether a worker killed
+            # mid-rotation fails the pipe write or the reply wait is a race,
+            # and either way the rollback above has restored the old menu.
             raise ReloadError(
                 f"rolling reload failed; previous menu restored: {exc}"
             ) from exc
