@@ -26,8 +26,9 @@ Backends
     history): mixed-strategy subtree states at half memory, serial and
     4-worker — the backends that first carried mixed matching to 1M users.
 ``streaming-lean-mixed-sorted`` / ``streaming-lean-mixed-sorted-w4``
-    Same, with ``mixed_kernel="sorted"`` — the O(M log M + T) prefix-sum
-    kernel that replaces the band kernel's O(T'·M) per-pair level scan.
+    Same, with ``mixed_kernel="sorted"`` — the O(M + T)-per-pair
+    step-histogram kernel that replaces the band kernel's O(T'·M) per-pair
+    level scan.
 ``streaming-float64-p4`` / ``streaming-lean-mixed-sorted-p4``
     The w4 columns with ``executor="process"``: chunk subsets fan out over
     worker *processes* attached to shared-memory scan inputs, so the scan

@@ -217,8 +217,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     backend.add_argument(
         "--mixed-kernel", choices=("auto", "band", "sorted"), default=None,
-        help="mixed-merge pricing kernel: sorted = O(M log M + T) per pair "
-             "(deterministic adoption), band = O(T'*M) reference; "
+        help="mixed-merge pricing kernel: sorted = O(M + T) step histogram "
+             "per pair (deterministic adoption), band = O(T'*M) reference; "
              "default: the engine's auto resolution",
     )
     backend.add_argument(

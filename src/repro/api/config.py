@@ -180,7 +180,7 @@ class EngineConfig:
     ------------------------------------------------------------------
     ``precision``/``storage`` override the WTP backend (``None`` keeps the
     matrix as given); ``chunk_elements`` is the streaming buffers' memory
-    ceiling (the pure scan works in smaller cache-sized blocks below it;
+    ceiling (both pair scans work in smaller cache-sized blocks below it;
     ``None`` disables chunking); ``n_workers`` fans chunk scans out over
     ``executor`` workers (``"thread"`` default, ``"process"`` for
     shared-memory multi-core scans, ``"serial"`` to force in-order

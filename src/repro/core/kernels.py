@@ -13,12 +13,10 @@ pricing kernel is column-independent, chunked results are bit-identical to
 the unchunked scan.
 
 Peak working memory of a streamed scan is independent of how many
-candidates are scanned.  The mixed scan's is a small constant multiple of
-``8 · chunk_elements`` bytes (its fill buffers plus the pricing kernel's
-per-chunk temporaries).  The pure scan caps its chunks at
-:data:`PURE_BLOCK_ELEMENTS` whenever chunking is on, so its fill buffer
-and the histogram kernel's two work buffers stay cache-sized (about 3 MB)
-below any larger ``chunk_elements``; the budget remains its ceiling.
+candidates are scanned.  Both scans cap their chunks at
+:data:`SCAN_BLOCK_ELEMENTS` whenever chunking is on, so the fill buffers
+and the histogram kernels' work buffers stay cache-sized (a few MB) below
+any larger ``chunk_elements``; the budget remains their ceiling.
 
 Parallel execution
 ------------------
@@ -110,13 +108,15 @@ from repro.core.retry import (
 )
 from repro.errors import ExecutorError, ScanTimeoutError, ValidationError
 
-#: Column cap of the pure scan, in elements of its ``(M, width)`` fill
-#: buffer (1 MB of float64).  The histogram kernel makes a few passes over
-#: each chunk (fill, division, cast, ``bincount``); a block this size stays
-#: in a per-core L2 cache across them, where a ``chunk_elements``-sized
-#: block streams every pass through DRAM.  Pricing is column-independent,
-#: so the cap changes timings and memory, never a bit of the result.
-PURE_BLOCK_ELEMENTS = 1 << 17
+#: Block cap of both pair scans, in elements of fill buffer per chunk
+#: (1 MB of float64): the pure scan's one ``(M, width)`` buffer, or the
+#: mixed scan's three together.  The histogram kernels make a few passes
+#: over each chunk (fill, division, cast, ``bincount``); a block this size
+#: stays in a per-core L2 cache across them, where a
+#: ``chunk_elements``-sized block streams every pass through DRAM.
+#: Pricing is column-independent, so the cap changes timings and memory,
+#: never a bit of the result.
+SCAN_BLOCK_ELEMENTS = 1 << 17
 
 #: Per-candidate fill buffers of the mixed scan: one ``(M, width)`` column
 #: each for bundle WTP, base score, and base payment.  ``chunk_width``
@@ -289,6 +289,14 @@ def chunk_width(
     return max(1, min(n_columns, chunk_elements // max(1, n_users * n_buffers)))
 
 
+def _block_budget(chunk_elements: int | None) -> int | None:
+    """A scan's per-chunk element budget: *chunk_elements* capped at
+    :data:`SCAN_BLOCK_ELEMENTS` (``None`` still means one chunk)."""
+    if chunk_elements is None:
+        return None
+    return min(chunk_elements, SCAN_BLOCK_ELEMENTS)
+
+
 def iter_chunks(n_columns: int, width: int) -> Iterator[tuple[int, int]]:
     """Yield ``(start, stop)`` column ranges of at most *width* columns."""
     for start in range(0, n_columns, width):
@@ -383,11 +391,15 @@ def _price_mixed_chunk(
 
 
 def _mixed_scan_buffers(n_users: int, width: int) -> tuple:
-    """One worker's mixed-scan buffer set (three columns + two interval rows)."""
+    """One worker's mixed-scan buffer set (three columns + two interval rows).
+
+    The three column buffers are Fortran-ordered, like the pure scan's
+    (:func:`_pure_scan_buffer`): each ``fill_pair`` column is contiguous.
+    """
     return (
-        np.empty((n_users, width), dtype=np.float64),
-        np.empty((n_users, width), dtype=np.float64),
-        np.empty((n_users, width), dtype=np.float64),
+        np.empty((n_users, width), dtype=np.float64, order="F"),
+        np.empty((n_users, width), dtype=np.float64, order="F"),
+        np.empty((n_users, width), dtype=np.float64, order="F"),
         np.empty(width, dtype=np.float64),
         np.empty(width, dtype=np.float64),
     )
@@ -612,7 +624,7 @@ def stream_pure_prices(
     :class:`repro.core.shm.SharedPairFill` so workers attach to shared
     parent rows by name).
 
-    Chunks hold at most ``min(chunk_elements, PURE_BLOCK_ELEMENTS)``
+    Chunks hold at most ``min(chunk_elements, SCAN_BLOCK_ELEMENTS)``
     elements (at least one column); ``chunk_elements=None`` prices every
     column in one chunk.  The ``scan.pure_prices`` span records the width
     used.  Returns ``(prices, revenues, buyers)`` of length ``n_columns`` —
@@ -629,10 +641,7 @@ def stream_pure_prices(
     buyers = np.zeros(n_columns)
     if n_columns == 0:
         return prices, revenues, buyers
-    budget = chunk_elements
-    if budget is not None:
-        budget = min(budget, PURE_BLOCK_ELEMENTS)
-    width = chunk_width(n_columns, n_users, budget)
+    width = chunk_width(n_columns, n_users, _block_budget(chunk_elements))
     chunks = list(iter_chunks(n_columns, width))
     executor, n_workers = _resolve_execution(executor, n_workers, len(chunks))
     started = time.monotonic()
@@ -717,25 +726,35 @@ def stream_mixed_merges(
 
     ``fill_pair(k, wtp_col, score_col, pay_col)`` must write candidate
     ``k``'s bundle-WTP column and base choice-state columns (each of length
-    ``n_users``) and return its Guiltinan interval ``(floor, ceiling)``.
-    Only one chunk of pair columns is ever alive per worker, so scanning
-    all ~N²/2 candidate merges needs O(chunk · n_workers) rather than
-    O(M·N²) memory.  The three per-column fill buffers *share* the
-    ``chunk_elements`` budget (:data:`MIXED_FILL_BUFFERS`);
-    ``chunk_elements=None`` disables chunking entirely — the same
-    convention as the pure path.  ``fill_pair`` must be thread-safe when
-    ``n_workers > 1`` under ``executor="thread"``, and picklable under
-    ``executor="process"`` (the engine passes
-    :class:`repro.core.shm.SharedMixedFill`, whose workers attach to the
-    shared parent raw/score/pay rows by name).
+    ``n_users``, float64) and return its Guiltinan interval ``(floor,
+    ceiling)``.  The columns are slices of column-major (Fortran-order)
+    buffers on every executor, so each is contiguous and a fill writes it
+    in one unit-stride ``out=`` pass; the kernel then prices the whole
+    ``(n_users, width)`` block in one pass.  Buffers are reused across
+    chunks, so ``fill_pair`` must overwrite every entry it is handed; it
+    must also be thread-safe when ``n_workers > 1`` under
+    ``executor="thread"``, and picklable under ``executor="process"`` (the
+    engine passes :class:`repro.core.shm.SharedMixedFill`, whose workers
+    attach to the shared parent raw/score/pay rows by name).
+
+    Chunks hold at most ``min(chunk_elements, SCAN_BLOCK_ELEMENTS)``
+    elements across the three fill buffers (:data:`MIXED_FILL_BUFFERS`
+    share the budget; at least one pair per chunk), so only one cache-sized
+    block of pair columns is alive per worker: scanning all ~N²/2
+    candidate merges needs O(block · n_workers) rather than O(M·N²) memory.
+    ``chunk_elements=None`` prices every pair in one chunk.  The
+    ``scan.mixed_merges`` span records the width used.
 
     ``mixed_kernel`` selects the per-chunk pricing kernel (see
     :data:`~repro.core.pricing.MIXED_KERNELS`): ``"band"`` runs
-    :func:`~repro.core.pricing.price_mixed_bundle_batch`, ``"sorted"`` the
-    O(M log M + T)-per-pair
+    :func:`~repro.core.pricing.price_mixed_bundle_batch` (whose
+    (levels × users × pairs) temporaries ``chunk_elements`` bounds),
+    ``"sorted"`` the step-histogram
     :func:`~repro.core.pricing.price_mixed_bundle_batch_sorted`
     (deterministic adoption only), and ``"auto"`` resolves by adoption
-    model.
+    model.  The chunk schedule never depends on the worker count or the
+    executor, and the sorted kernel is column-independent, so its results
+    are bit-identical for any chunk budget, worker count, and executor.
 
     Returns ``(prices, gains, upgraded, feasible)`` of length ``n_pairs``.
     *retry* governs the process path's retries/timeout and the
@@ -754,12 +773,15 @@ def stream_mixed_merges(
     feasible = np.zeros(n_pairs, dtype=bool)
     if n_pairs == 0:
         return prices, gains, upgraded, feasible
-    width = chunk_width(n_pairs, n_users, chunk_elements, MIXED_FILL_BUFFERS)
+    width = chunk_width(
+        n_pairs, n_users, _block_budget(chunk_elements), MIXED_FILL_BUFFERS
+    )
     chunks = list(iter_chunks(n_pairs, width))
     executor, n_workers = _resolve_execution(executor, n_workers, len(chunks))
     started = time.monotonic()
     with obs.span("scan.mixed_merges", pairs=n_pairs, users=n_users,
-                  chunks=len(chunks), executor=executor, workers=n_workers):
+                  chunks=len(chunks), width=width, executor=executor,
+                  workers=n_workers):
         _run_mixed_scan(fill_pair, chunks, width, n_users, adoption, grid,
                         chunk_elements, kernel, executor, n_workers, retry,
                         prices, gains, upgraded, feasible)

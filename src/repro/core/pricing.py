@@ -504,8 +504,8 @@ def _price_exact_batch(
 # -------------------------------------------------------------------- mixed
 #: Selectable kernels for the streamed mixed-merge scans.  ``"band"`` is the
 #: original O(T'·M)-per-pair level scan (the bit-reference the equivalence
-#: tests pin against); ``"sorted"`` is the O(M log M + T) margin-sorted
-#: prefix-sum kernel (deterministic adoption only); ``"auto"`` resolves to
+#: tests pin against); ``"sorted"`` is the O(M + T)-per-pair step-histogram
+#: kernel (deterministic adoption only); ``"auto"`` resolves to
 #: ``"sorted"`` when the adoption model is deterministic and to ``"band"``
 #: otherwise.
 MIXED_KERNELS = ("auto", "band", "sorted")
@@ -724,35 +724,43 @@ def price_mixed_bundle_batch_sorted(
     grid: PriceGrid | None = None,
     chunk_elements: int | None = DEFAULT_CHUNK_ELEMENTS,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sort-based :func:`price_mixed_bundle_batch` for deterministic adoption.
+    """Step-histogram :func:`price_mixed_bundle_batch` for deterministic adoption.
 
-    Under the step model, user ``u`` upgrades to the merged bundle at price
-    ``p`` iff ``p − tol(p) ≤ margin_u`` where ``margin_u = effective_u −
-    base_score_u`` — a single threshold per level.  So for one pair
+    Under the step model, user ``u`` upgrades to the merged bundle at level
+    ``t`` iff ``compare_t ≤ margin_u``, where ``compare_t = level_t −
+    LEVEL_RTOL·(1 + |level_t|)`` and ``margin_u = effective_u −
+    base_score_u`` (below every threshold for users with zero bundle
+    WTP).  The
+    thresholds ascend, so each user upgrades at exactly the levels
+    ``1..b_u`` for a *bucket* ``b_u = #{t : compare_t ≤ margin_u}`` in
+    ``[0, T]``, and for one pair
 
-        gain(p) = p · #{margin ≥ p − tol}  −  Σ(base_pay | margin ≥ p − tol),
+        gain(t) = level_t · #{b_u ≥ t}  −  Σ(base_pay | b_u ≥ t).
 
-    and both aggregates fall out of the margin-sorted order with prefix
-    sums: one sort per pair, then every feasible Guiltinan level costs one
-    ``searchsorted`` — O(M log M + T) instead of the band kernel's O(T'·M).
-    As an exact refinement, only margins *inside* the feasible band are
-    sorted: users at or above the top level's threshold upgrade at every
-    feasible level (their count and payment are folded in as constants), so
-    the sort handles just the users whose decision actually varies across
-    the band — typically a small fraction of M.
+    The whole ``(M, P)`` block is priced in one pass, with no per-pair
+    loop: margins for every column at once; buckets from the float
+    estimate ``margin / step`` clipped to ``[0, T]``, then raised level by
+    level while the next threshold is at or below the margin (exact, even
+    for tiny tops where the slack spans several levels); one ``bincount``
+    of buckets and one weighted by base payment over per-column offsets;
+    suffix sums over levels; ``gain`` inside the Guiltinan band; the first
+    (lowest) argmax.  Only pairs with a feasible level are priced.
 
-    The level grid and the ``LEVEL_RTOL`` slack are computed with identical
-    arithmetic to the band kernel; the threshold test is the band kernel's
-    comparison rearranged (``margin ≥ level − tol`` versus ``effective −
-    level ≥ score − tol``), which can only disagree for a margin within an
-    ulp of the slack boundary itself — ~1e7 ulps away from the on-grid WTP
-    values the slack protects.  ``gains`` differ from the band kernel by
-    float accumulation order (payments are summed margin-sorted here,
-    user-ordered there), i.e. to ~1e-9 relative.  Every per-pair
-    computation is independent and sequentially ordered, so results are
-    bit-identical for any ``chunk_elements`` and worker count
-    (``chunk_elements`` is accepted for interface symmetry; per-pair work
-    is already O(M)-bounded).
+    The level grid, the slack and the tie-break use the band kernel's
+    arithmetic, and the threshold test is its comparison rearranged, so
+    ``prices``, ``upgraded`` and ``feasible`` depend only on the integer
+    upgrade sets.  ``gains`` differ from the band kernel's by payment
+    summation order (ulps of the payment sums): a merge whose exact gain
+    is zero comes out as about ±1e-13, and that sign, or the winning level
+    of an exact tie, can differ between the kernels.
+
+    The kernel's working memory is a few ``M × P`` buffers whatever
+    ``chunk_elements`` says (it is accepted for interface symmetry), so
+    callers bound ``P``: the streamed scan of :mod:`repro.core.kernels`
+    passes cache-sized blocks.  Column-major (Fortran-order) input keeps
+    every pass contiguous; any layout gives the same bits, and each bin
+    sums its users in user order, so results are bit-identical for any
+    column batching, chunk budget and worker count.
     """
     adoption = adoption or StepAdoption()
     grid = grid or PriceGrid()
@@ -768,7 +776,6 @@ def price_mixed_bundle_batch_sorted(
     n_users, n_pairs = w_b.shape
     floors = np.asarray(floors, dtype=np.float64)
     ceilings = np.asarray(ceilings, dtype=np.float64)
-    effective = adoption.alpha * w_b + adoption.epsilon
 
     prices = np.zeros(n_pairs)
     gains = np.full(n_pairs, -np.inf)
@@ -777,49 +784,77 @@ def price_mixed_bundle_batch_sorted(
     if n_pairs == 0 or n_users == 0:
         return prices, gains, upgraded, feasible
 
-    n_levels = grid.n_levels
+    if adoption.alpha == 1.0 and adoption.epsilon == 0.0:
+        effective = w_b
+    else:
+        effective = adoption.alpha * w_b + adoption.epsilon
     tops = effective.max(axis=0)
-    level_ranks = np.arange(1, n_levels + 1, dtype=np.float64)
-    for k in range(n_pairs):
-        top = tops[k]
-        if top <= 0:
-            continue
-        # Identical level arithmetic to the band kernel: rank · (top / T).
-        levels = level_ranks * (top / n_levels)
-        valid = (levels > floors[k]) & (levels < ceilings[k])
-        if not valid.any():
-            continue
-        feasible[k] = True
-        # Ascending levels make the Guiltinan interval a contiguous band.
-        rows = np.flatnonzero(valid)
-        lv = levels[rows[0] : rows[-1] + 1]
-        compare = lv - LEVEL_RTOL * (1.0 + np.abs(lv))
-        column = effective[:, k]
-        # Out-of-market users (zero WTP) sort to -inf: below every finite
-        # threshold, so they never count and never contribute payment.
-        margin = np.where(w_b[:, k] > 0, column - base_scores[:, k], -np.inf)
-        pay = base_pays[:, k]
-        # Users at or above the top threshold upgrade at every band level.
-        always = margin >= compare[-1]
-        n_always = int(np.count_nonzero(always))
-        pay_always = float(pay[always].sum())
-        if compare.size == 1:
-            counts = np.array([float(n_always)])
-            tails = np.array([pay_always])
-        else:
-            varying = (margin >= compare[0]) & ~always
-            mid_margin = margin[varying]
-            order = np.argsort(mid_margin)
-            mid_sorted = mid_margin[order]
-            mid_pay_prefix = np.concatenate(([0.0], np.cumsum(pay[varying][order])))
-            # First sorted position at or above each threshold: everything
-            # from there up is in the level's upgrade set.
-            idx = np.searchsorted(mid_sorted, compare, side="left")
-            counts = n_always + (mid_sorted.size - idx).astype(np.float64)
-            tails = pay_always + (mid_pay_prefix[-1] - mid_pay_prefix[idx])
-        gain_band = lv * counts - tails
-        best = int(np.argmax(gain_band))  # first (lowest) level on ties
-        prices[k] = lv[best]
-        gains[k] = gain_band[best]
-        upgraded[k] = counts[best]
+    n_levels = grid.n_levels
+    step = tops / n_levels
+    # Identical level arithmetic to the band kernel: rank · (top / T).
+    levels = step[:, None] * np.arange(1, n_levels + 1, dtype=np.float64)
+    valid = (levels > floors[:, None]) & (levels < ceilings[:, None])
+    valid &= (tops > 0)[:, None]
+    live = valid.any(axis=1)
+    feasible[:] = live
+    if not live.any():
+        return prices, gains, upgraded, feasible
+    if not live.all():
+        cols = np.flatnonzero(live)
+        w_b, effective = w_b[:, cols], effective[:, cols]
+        base_scores, base_pays = base_scores[:, cols], base_pays[:, cols]
+        step, levels, valid = step[cols], levels[cols], valid[cols]
+    width = w_b.shape[1]
+
+    # margin, then buckets, in one column-major buffer each; ravel(order="F")
+    # walks users within a column, so every bin sums its users in order.
+    margin = np.subtract(effective, base_scores, order="F", dtype=np.float64)
+    # Out-of-market users (zero WTP) sit below every threshold: bucket 0.
+    # Adding the lowest float is branch-free; a masked -inf store
+    # mispredicts on every scattered zero and costs several passes.
+    margin += (w_b <= 0) * np.finfo(np.float64).min
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        estimate = np.divide(margin, step, order="F")
+    # fmax/fmin send nan (a zero step) to 0 and ±inf to the range ends.
+    np.fmax(estimate, 0.0, out=estimate)
+    np.fmin(estimate, n_levels, out=estimate)
+    key = estimate.astype(np.intp, order="F")
+    del estimate
+    # Column k owns slots k·(T+2) .. k·(T+2)+T+1 of the threshold table:
+    # slot t holds compare_t, slot T+1 is +inf so a probe never runs off.
+    span = n_levels + 2
+    key += np.arange(0, width * span, span)
+    thresholds = np.empty((width, span))
+    thresholds[:, 1 : n_levels + 1] = levels - LEVEL_RTOL * (1.0 + np.abs(levels))
+    thresholds[:, 0] = -np.inf
+    thresholds[:, -1] = np.inf
+    next_threshold = thresholds.ravel()[1:]
+    flat_key = key.ravel(order="F")
+    flat_margin = margin.ravel(order="F")
+    # The estimate never overshoots (the slack, >= 1e-9 absolute and
+    # relative, dwarfs the rounding of one division), so the correction
+    # only ever raises a bucket: one full probe, then the stragglers.
+    moving = np.flatnonzero(next_threshold.take(flat_key) <= flat_margin)
+    while moving.size:
+        flat_key[moving] += 1
+        moving = moving[
+            next_threshold.take(flat_key[moving]) <= flat_margin[moving]
+        ]
+    del margin
+
+    n_bins = width * span
+    counts = np.bincount(flat_key, minlength=n_bins).reshape(width, span)
+    paid = np.bincount(
+        flat_key, weights=base_pays.ravel(order="F"), minlength=n_bins
+    ).reshape(width, span)
+    # Level t counts the users with bucket >= t: suffix sums over slots.
+    count_levels = np.cumsum(counts[:, :0:-1], axis=1)[:, :0:-1].astype(np.float64)
+    pay_levels = np.cumsum(paid[:, :0:-1], axis=1)[:, :0:-1]
+    gain_levels = levels * count_levels - pay_levels
+    gain_levels[~valid] = -np.inf
+    best = np.argmax(gain_levels, axis=1)  # first (lowest) level on ties
+    rows = np.arange(width)
+    prices[live] = levels[rows, best]
+    gains[live] = gain_levels[rows, best]
+    upgraded[live] = count_levels[rows, best]
     return prices, gains, upgraded, feasible

@@ -173,11 +173,10 @@ class RevenueEngine:
         Optional generalized objective; ``None`` means revenue maximization.
     chunk_elements:
         Element ceiling for the streaming pair-scan buffers, whatever the
-        number of candidates scanned.  The mixed scan's working memory is a
-        small constant multiple of ``8 · chunk_elements`` bytes; the pure
-        scan runs in cache-sized blocks of at most
-        :data:`~repro.core.kernels.PURE_BLOCK_ELEMENTS` and narrower ones
-        only when this budget is smaller.  It is part of the fingerprinted
+        number of candidates scanned.  Both scans run in cache-sized blocks
+        of at most :data:`~repro.core.kernels.SCAN_BLOCK_ELEMENTS` and
+        narrower ones only when this budget is smaller; the band mixed
+        kernel's per-chunk temporaries stay bounded by the budget itself.  It is part of the fingerprinted
         provenance, though no value changes a bit of the prices.  ``None``
         disables chunking (the original unbounded behaviour — O(M·N²) at
         scale).
@@ -219,8 +218,8 @@ class RevenueEngine:
         differs only by float32 rounding of the base choice state).
     mixed_kernel:
         Kernel for the streamed mixed-merge scans: ``"band"`` (the O(T'·M)
-        Guiltinan-band level scan), ``"sorted"`` (the O(M log M + T)
-        margin-sorted prefix-sum kernel; deterministic adoption only), or
+        Guiltinan-band level scan), ``"sorted"`` (the O(M + T)-per-pair
+        step-histogram kernel; deterministic adoption only), or
         ``"auto"`` (default — sorted when the adoption model is
         deterministic, band otherwise).  The two kernels agree to float
         accumulation order (~1e-9 relative on gains; identical prices and

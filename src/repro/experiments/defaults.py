@@ -78,7 +78,7 @@ def default_engine(
         of reaching :class:`RevenueEngine` as a ``TypeError``.
 
     The default engine resolves ``mixed_kernel="auto"`` to the sorted
-    prefix-sum kernel (step adoption is deterministic); the golden
+    step-histogram kernel (step adoption is deterministic); the golden
     snapshot is produced on that path.
 
     Values the config schema cannot describe — a custom

@@ -190,7 +190,7 @@ class TestAlgorithmSpec:
 
 SOLVE_CASES = {
     # Pure and mixed (the default engine resolves the mixed scans to the
-    # sorted prefix-sum kernel under step adoption).
+    # sorted step-histogram kernel under step adoption).
     "pure": AlgorithmSpec("pure_greedy"),
     "mixed": AlgorithmSpec("mixed_matching"),
 }

@@ -10,7 +10,7 @@ catches any silent numeric drift in the hot path.
 The snapshot's ``metadata.mixed_kernel`` records which mixed-merge kernel
 produced it; the default engine must still resolve to that kernel, so a
 change of the default pricing path cannot silently ride on a stale
-snapshot.  (The current snapshot is produced by the sorted prefix-sum
+snapshot.  (The current snapshot is produced by the sorted step-histogram
 kernel — the band kernel accumulates payments in a different order, so its
 gains differ at ~1e-9 relative and its merge choices can differ on
 knife-edge ties.)

@@ -1,12 +1,14 @@
-"""Equivalence of the sorted prefix-sum mixed kernel against the band kernel.
+"""Equivalence of the sorted step-histogram mixed kernel against the band kernel.
 
 The band kernel (:func:`~repro.core.pricing.price_mixed_bundle_batch`) is
 the bit-reference: it evaluates every feasible Guiltinan level over every
 user, O(T'·M) per pair.  The sorted kernel
 (:func:`~repro.core.pricing.price_mixed_bundle_batch_sorted`) computes the
-same optimum from one margin-sort plus prefix sums, O(M log M + T) per
-pair.  Because the two accumulate per-user payments in different orders,
-gains agree to float-accumulation precision (~1e-9 relative), while
+same optimum from one step histogram of margin buckets per block of pairs
+(a count and a payment-weighted ``bincount``, then suffix sums over
+levels), O(M + T) per pair.  Because the two accumulate per-user payments
+in different orders, gains agree to float-accumulation precision (~1e-9
+relative), while
 ``prices``, ``upgraded`` counts, and ``feasible`` flags — which depend only
 on the upgrade *sets* and the shared level grid — must match exactly.
 
@@ -16,7 +18,9 @@ varied floors/ceilings (including infeasible intervals), WTP values sitting
 the streaming layer's chunk/worker matrix (serial and ``n_workers=4``,
 chunked and unchunked).  The sorted kernel itself must additionally be
 *bit-identical* across every chunk/worker configuration: each pair's
-computation is independent and sequentially ordered.
+computation is independent, and each histogram bin sums its users in user
+order.  ``tests/test_mixed_scan.py`` holds the sorted kernel to an exact
+oracle.
 """
 
 import numpy as np

@@ -8,7 +8,7 @@ Three contracts are pinned here:
   on every input layout, dead and subnormal columns, biased adoption and
   ratings-like on-grid values;
 * **cache-sized memory** — a streamed scan's peak allocation is bounded by
-  :data:`~repro.core.kernels.PURE_BLOCK_ELEMENTS`, not by
+  :data:`~repro.core.kernels.SCAN_BLOCK_ELEMENTS`, not by
   ``chunk_elements``, and its result does not depend on either;
 * **column-major blocks** — every executor hands ``fill`` Fortran-ordered
   blocks, so each candidate column is contiguous.
@@ -26,7 +26,7 @@ from repro.algorithms.components import Components
 from repro.core.adoption import StepAdoption
 from repro.core.evaluation import expected_pure_revenue
 from repro.core.kernels import (
-    PURE_BLOCK_ELEMENTS,
+    SCAN_BLOCK_ELEMENTS,
     _pure_chunk_subset,
     stream_pure_prices,
 )
@@ -200,7 +200,7 @@ def test_stream_pure_prices_peak_memory_is_cache_sized():
     """8k users × 2k candidates at the default budget peak at a few MB.
 
     The default ``chunk_elements`` allows a 32 MB fill buffer; the scan
-    caps its block at :data:`PURE_BLOCK_ELEMENTS` instead.  Results equal
+    caps its block at :data:`SCAN_BLOCK_ELEMENTS` instead.  Results equal
     a one-chunk scan (over a 256-column prefix, which keeps that scan's
     unbounded buffers small) and a one-column-per-chunk scan.
     """
@@ -227,7 +227,7 @@ def test_pure_scan_span_reports_block_width():
     fill = pair_fill()
     tracer = obs.enable_tracing()
     cases = (
-        (DEFAULT_CHUNK_ELEMENTS, PURE_BLOCK_ELEMENTS // N_USERS),
+        (DEFAULT_CHUNK_ELEMENTS, SCAN_BLOCK_ELEMENTS // N_USERS),
         (3 * N_USERS, 3),
         (None, 100),
     )
