@@ -29,12 +29,9 @@ Backends
     Same, with ``mixed_kernel="sorted"`` — the O(M + T)-per-pair
     step-histogram kernel that replaces the band kernel's O(T'·M) per-pair
     level scan.
-``streaming-float64-p4`` / ``streaming-lean-mixed-sorted-p4``
-    The w4 columns with ``executor="process"``: chunk subsets fan out over
-    worker *processes* attached to shared-memory scan inputs, so the scan
-    escapes the GIL entirely.  Only meaningful on multi-core hosts (each
-    cell records ``cpu_count``); the CI ``perf-smoke`` job gates the
-    process-vs-serial speedup on a real 2+-core runner.
+
+Every cell records ``cpu_count``; the CI ``perf-smoke`` job gates the
+threaded-vs-serial speedup on a real 2+-core runner.
 
 Run from the repo root::
 
@@ -100,11 +97,6 @@ BACKENDS = {
     "streaming-lean-mixed-sorted-w4": EngineConfig(
         state_dtype="float32", n_workers=4, mixed_kernel="sorted"
     ),
-    "streaming-float64-p4": EngineConfig(n_workers=4, executor="process"),
-    "streaming-lean-mixed-sorted-p4": EngineConfig(
-        state_dtype="float32", n_workers=4, mixed_kernel="sorted",
-        executor="process",
-    ),
 }
 
 
@@ -141,10 +133,9 @@ def measure_cell(
             if strategy == "mixed"
             else None
         ),
-        # Execution backend + the cores it could actually schedule on
-        # (affinity-aware): a "parallel" ratio is only as meaningful as
-        # the cpu_count it ran under.
-        "executor": config.executor,
+        # The cores the scan could actually schedule on (affinity-aware):
+        # a "parallel" ratio is only as meaningful as the cpu_count it ran
+        # under.
         "cpu_count": available_cpus(),
     }
 
@@ -198,35 +189,6 @@ def summarize(runs: list[dict]) -> dict:
                 ),
                 "revenues_identical": serial["expected_revenue"]
                 == threaded["expected_revenue"],
-            }
-            break
-    # Process vs thread executors at equal worker count: the GIL tax the
-    # shared-memory process path removes.  A ratio across hosts is
-    # meaningless, so retained cells (recorded by an earlier invocation,
-    # possibly elsewhere) never pair with fresh ones.
-    for factor in factors:
-        threaded = cell("pure", "streaming-float64-w4", factor)
-        process_cell = cell("pure", "streaming-float64-p4", factor)
-        if threaded and process_cell:
-            if threaded.get("retained_from_previous_record") != process_cell.get(
-                "retained_from_previous_record"
-            ):
-                continue
-            summary["process_vs_thread"] = {
-                "clone_factor": factor,
-                "n_users": threaded["n_users"],
-                "n_workers": 4,
-                "thread_cpu_count": threaded.get("cpu_count"),
-                "process_cpu_count": process_cell.get("cpu_count"),
-                "thread_wall_seconds": threaded["wall_seconds"],
-                "process_wall_seconds": process_cell["wall_seconds"],
-                "wall_clock_speedup_x": round(
-                    threaded["wall_seconds"]
-                    / max(process_cell["wall_seconds"], 1e-9),
-                    2,
-                ),
-                "revenues_identical": threaded["expected_revenue"]
-                == process_cell["expected_revenue"],
             }
             break
     # Sorted-vs-band mixed kernel, one entry per factor where both kernels
@@ -358,9 +320,6 @@ def run(args) -> dict:
                 # only mixed kernel of their era: the band scan.
                 if r["algorithm"] == "mixed" and "mixed_kernel" not in r:
                     r["mixed_kernel"] = "band"
-                # Cells recorded before executor selection existed all ran
-                # the thread pool (n_workers=1 degenerates to serial).
-                r.setdefault("executor", "thread")
                 r.setdefault("retained_from_previous_record", True)
             runs = retained + runs
             runs.sort(key=lambda r: (r["clone_factor"], r["algorithm"], r["backend"]))

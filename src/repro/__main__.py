@@ -35,21 +35,16 @@ Commands
     ``POST /refit`` requests: warm-started re-pricing across a
     population delta, off the event loop, swapped in atomically.
     With ``--workers N`` (N >= 2) the supervised fleet runs instead: N
-    worker processes sharing one menu copy via shared memory, crash
-    respawn with backoff, per-worker circuit breakers, rolling
+    worker processes, each building its menu from the saved solution,
+    crash respawn with backoff, per-worker circuit breakers, rolling
     zero-downtime reload, and graceful SIGTERM drain.
-``shm-audit``
-    List ``repro-*`` shared-memory blocks orphaned by a hard-killed run
-    (SIGKILL skips the in-process reaper); ``--reap`` unlinks them.
 
 Exit codes
 ----------
 Failures map to distinct codes so wrappers can react without parsing
 stderr: 2 for bad input/usage (:class:`~repro.errors.ValidationError` and
-other setup errors), 3 for executor failures past the retry/degradation
-ladder (:class:`~repro.errors.ExecutorError`), 4 for scan timeouts
-(:class:`~repro.errors.ScanTimeoutError`), 5 for shared-memory failures
-(:class:`~repro.errors.SharedMemoryError`), 6 for unusable checkpoints
+other setup errors), 3 for scan executor failures
+(:class:`~repro.errors.ExecutorError`), 6 for unusable checkpoints
 (:class:`~repro.errors.CheckpointError`), 7 for serving failures
 (:class:`~repro.errors.ServingError`), 8 when the serving fleet loses its
 workers past recovery (:class:`~repro.errors.WorkerCrashError`), 9 when
@@ -65,7 +60,6 @@ Examples
     python -m repro bundle --algorithm mixed_matching --users 400 --items 60
     python -m repro bundle --ratings r.csv --prices p.csv --algorithm pure_greedy
     python -m repro bundle --storage sparse --precision float32 --n-workers 4
-    python -m repro bundle --executor process --n-workers 4
     python -m repro bundle --algorithm mixed_greedy --save-solution menu.json
     python -m repro bundle --checkpoint fit.ckpt --save-solution menu.json
     python -m repro bundle --checkpoint fit.ckpt --resume --save-solution menu.json
@@ -77,7 +71,6 @@ Examples
     python -m repro serve --solution menu.json --workers 4 --drain-timeout 5
     python -m repro experiment table2
     python -m repro generate --users 500 --items 80 --out-ratings r.csv --out-prices p.csv
-    python -m repro shm-audit --reap
 """
 
 from __future__ import annotations
@@ -97,9 +90,7 @@ from repro.errors import (
     ExecutorError,
     FitInterruptedError,
     ReproError,
-    ScanTimeoutError,
     ServingError,
-    SharedMemoryError,
     WorkerCrashError,
 )
 
@@ -108,8 +99,6 @@ EXPERIMENTS = ("table1", "table2", "table45", "table6",
 
 #: Exit codes per failure family (most specific class first).
 _EXIT_CODES = (
-    (ScanTimeoutError, 4),
-    (SharedMemoryError, 5),
     (ExecutorError, 3),
     (CheckpointError, 6),
     (WorkerCrashError, 8),
@@ -203,13 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     backend.add_argument(
         "--n-workers", type=int, default=1, metavar="W",
-        help="workers for the streaming pair scans (default 1)",
-    )
-    backend.add_argument(
-        "--executor", choices=("serial", "thread", "process"), default=None,
-        help="scan execution backend: thread (default; GIL-bound fill), "
-             "process (shared-memory workers, real multi-core scaling), "
-             "serial (force in-order execution)",
+        help="threads for the streaming pair scans (default 1, in order)",
     )
     backend.add_argument(
         "--state-dtype", choices=("float64", "float32"), default=None,
@@ -323,8 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet = serve.add_argument_group("fleet (multi-process) serving")
     fleet.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="worker processes; >= 2 runs the supervised fleet (shared-"
-             "memory menu, crash respawn, circuit breakers, rolling reload)",
+        help="worker processes; >= 2 runs the supervised fleet (crash "
+             "respawn, circuit breakers, rolling reload)",
     )
     fleet.add_argument(
         "--drain-timeout", type=float, default=10.0, metavar="SECONDS",
@@ -351,15 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--seed", type=int, default=0)
     generate.add_argument("--out-ratings", required=True)
     generate.add_argument("--out-prices", required=True)
-
-    shm_audit = sub.add_parser(
-        "shm-audit",
-        help="list (and optionally reap) orphaned repro-* shared-memory blocks",
-    )
-    shm_audit.add_argument(
-        "--reap", action="store_true",
-        help="unlink the orphaned blocks after listing them",
-    )
     return parser
 
 
@@ -380,16 +354,6 @@ def _load_dataset(args):
 def _engine_config(args) -> EngineConfig:
     """Typed engine config from the CLI backend flags."""
     config_kwargs = {"theta": args.theta, "n_workers": args.n_workers}
-    if args.executor is not None:
-        config_kwargs["executor"] = args.executor
-        if args.executor == "process" and args.n_workers <= 1:
-            # The process executor only engages with >1 worker; say so
-            # instead of silently running the serial scan.
-            print(
-                "note: --executor process needs --n-workers >= 2 to engage; "
-                "running serial",
-                file=sys.stderr,
-            )
     if args.precision is not None:
         config_kwargs["precision"] = args.precision
     if args.storage is not None:
@@ -722,28 +686,6 @@ def _command_experiment(args) -> int:
     return 0
 
 
-def _command_shm_audit(args) -> int:
-    from repro.core.shm import orphaned_shared_blocks, reap_orphaned_blocks
-
-    names = orphaned_shared_blocks()
-    if not names:
-        print("no orphaned repro-* shared-memory blocks")
-        return 0
-    for name in names:
-        print(name)
-    if args.reap:
-        try:
-            reaped = reap_orphaned_blocks(names)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return _exit_code(exc)
-        print(f"reaped {len(reaped)} of {len(names)} block(s)")
-        if len(reaped) < len(names):
-            # Unreapable blocks (e.g. permissions) are an operator problem.
-            return 5
-    return 0
-
-
 def _command_generate(args) -> int:
     dataset = _synthetic(args.users, args.items, args.seed)
     save_ratings_csv(dataset, args.out_ratings, args.out_prices)
@@ -764,8 +706,6 @@ def main(argv=None) -> int:
         return _command_serve(args)
     if args.command == "experiment":
         return _command_experiment(args)
-    if args.command == "shm-audit":
-        return _command_shm_audit(args)
     return _command_generate(args)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.core.configuration import MixedConfiguration, PureConfiguration
 from repro.core.evaluation import evaluate, revenue_gain
-from repro.core.kernels import check_executor, check_n_workers
+from repro.core.kernels import check_n_workers
 from repro.core.pricing import check_mixed_kernel, resolve_mixed_kernel
 from repro.core.revenue import RevenueEngine
 from repro.errors import PricingError, ValidationError
@@ -52,13 +52,6 @@ def check_mixed_kernel_option(mixed_kernel: str | None) -> str | None:
     if mixed_kernel is None:
         return None
     return check_mixed_kernel(mixed_kernel)
-
-
-def check_executor_option(executor: str | None) -> str | None:
-    """Validate an algorithm-level executor override; ``None`` defers to the engine."""
-    if executor is None:
-        return None
-    return check_executor(executor)
 
 
 @dataclass(frozen=True)
@@ -110,8 +103,6 @@ class BundlingAlgorithm(ABC):
     n_workers: int | None = None
     #: Optional per-run mixed-kernel override (``None`` = engine's setting).
     mixed_kernel: str | None = None
-    #: Optional per-run executor override (``None`` = engine's setting).
-    executor: str | None = None
     #: Checkpointing knobs, armed by :meth:`repro.api.BundlingSolver.fit`
     #: (class-level so registry-validated constructor signatures stay
     #: untouched).  ``checkpoint_path=None`` disables checkpointing.
@@ -162,14 +153,11 @@ class BundlingAlgorithm(ABC):
 
     @contextmanager
     def _engine_overrides(self, engine: RevenueEngine):
-        """Apply per-run engine overrides (workers, kernel, executor) for one fit."""
+        """Apply per-run engine overrides (workers, kernel) for one fit."""
         previous_workers = engine.n_workers
         previous_kernel = engine.mixed_kernel
-        previous_executor = engine.executor
         if self.n_workers is not None:
             engine.n_workers = self.n_workers
-        if self.executor is not None:
-            engine.executor = self.executor
         if self.mixed_kernel is not None:
             # Fail before any pricing work, mirroring the engine's own
             # construction-time checks (an unusable override would otherwise
@@ -187,7 +175,6 @@ class BundlingAlgorithm(ABC):
         finally:
             engine.n_workers = previous_workers
             engine.mixed_kernel = previous_kernel
-            engine.executor = previous_executor
 
     def _finalize(
         self,

@@ -35,7 +35,6 @@ from repro.algorithms.base import (
     BundlingAlgorithm,
     BundlingResult,
     IterationRecord,
-    check_executor_option,
     check_max_size,
     check_mixed_kernel_option,
     check_strategy,
@@ -57,14 +56,12 @@ class GreedyMerge(BundlingAlgorithm):
         co_support_pruning: bool = True,
         n_workers: int | None = None,
         mixed_kernel: str | None = None,
-        executor: str | None = None,
     ) -> None:
         self.strategy = check_strategy(strategy)
         self.k = check_max_size(k)
         self.co_support_pruning = co_support_pruning
         self.n_workers = check_workers_option(n_workers)
         self.mixed_kernel = check_mixed_kernel_option(mixed_kernel)
-        self.executor = check_executor_option(executor)
         self.name = f"{self.strategy}_greedy"
 
     def fit(self, engine: RevenueEngine) -> BundlingResult:

@@ -26,7 +26,6 @@ from repro.algorithms.base import (
     BundlingAlgorithm,
     BundlingResult,
     IterationRecord,
-    check_executor_option,
     check_max_size,
     check_mixed_kernel_option,
     check_strategy,
@@ -60,9 +59,6 @@ class IterativeMatching(BundlingAlgorithm):
     mixed_kernel:
         Mixed-merge kernel backend (``"band"``, ``"sorted"``, or
         ``"auto"``) for this run; ``None`` defers to the engine.
-    executor:
-        Scan execution backend (``"serial"``, ``"thread"``, or
-        ``"process"``) for this run; ``None`` defers to the engine.
     """
 
     def __init__(
@@ -75,7 +71,6 @@ class IterativeMatching(BundlingAlgorithm):
         max_iterations: int | None = None,
         n_workers: int | None = None,
         mixed_kernel: str | None = None,
-        executor: str | None = None,
     ) -> None:
         self.strategy = check_strategy(strategy)
         self.k = check_max_size(k)
@@ -85,7 +80,6 @@ class IterativeMatching(BundlingAlgorithm):
         self.max_iterations = max_iterations
         self.n_workers = check_workers_option(n_workers)
         self.mixed_kernel = check_mixed_kernel_option(mixed_kernel)
-        self.executor = check_executor_option(executor)
         self.name = f"{self.strategy}_matching"
 
     def fit(self, engine: RevenueEngine) -> BundlingResult:

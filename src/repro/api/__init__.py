@@ -15,10 +15,10 @@ The one entry point for using the system end to end:
 * :class:`BundlingSolution` — the durable artifact: configuration,
   provenance, metrics; ``save``/``load`` (bit-exact JSON),
   ``quote(new_user_wtp)`` and ``evaluate(engine)`` for serving;
-* :class:`RetryPolicy` — scan retry/timeout/degradation policy
-  (:class:`EngineConfig`'s ``retry`` field);
+* :class:`RetryPolicy` — the quote micro-batcher's retry/degradation
+  policy (:class:`~repro.serving.server.QuoteServer`'s ``retry``);
   :class:`DegradedExecutionWarning` is the structured warning emitted
-  when a scan falls back to a slower executor;
+  when a scan or a quote batch falls back to a slower path;
 * :class:`FitCheckpoint` — the persisted restartable fit state.
 
 See EXPERIMENTS.md and the README "API" section for a worked example.

@@ -40,7 +40,6 @@ from repro.core.adoption import AdoptionModel, SigmoidAdoption, StepAdoption
 from repro.core.kernels import (
     DEFAULT_CHUNK_ELEMENTS,
     check_chunk_elements,
-    check_executor,
     check_n_workers,
 )
 from repro.core.pricing import (
@@ -49,7 +48,6 @@ from repro.core.pricing import (
     check_mixed_kernel,
     resolve_mixed_kernel,
 )
-from repro.core.retry import RetryPolicy
 from repro.core.revenue import (
     DEFAULT_DRIFT_THRESHOLD,
     RevenueEngine,
@@ -182,15 +180,11 @@ class EngineConfig:
     matrix as given); ``chunk_elements`` is the streaming buffers' memory
     ceiling (both pair scans work in smaller cache-sized blocks below it;
     ``None`` disables chunking); ``n_workers`` fans chunk scans out over
-    ``executor`` workers (``"thread"`` default, ``"process"`` for
-    shared-memory multi-core scans, ``"serial"`` to force in-order
-    execution); ``state_dtype`` stores mixed-strategy subtree states in
-    float32; ``mixed_kernel`` selects the mixed-merge pricing kernel;
+    that many threads (1, the default, runs them in order);
+    ``state_dtype`` stores mixed-strategy subtree states in float32;
+    ``mixed_kernel`` selects the mixed-merge pricing kernel;
     ``raw_cache_entries`` caps the raw-WTP LRU cache (``None`` uses the
-    engine's per-catalogue default); ``retry`` is a
-    :class:`~repro.core.retry.RetryPolicy` (or its dict form) governing
-    scan retries, timeouts, and executor degradation (``None`` uses the
-    engine's default policy); ``drift_threshold`` is the relative revenue
+    engine's per-catalogue default); ``drift_threshold`` is the relative revenue
     drift beyond which a warm ``refit`` falls back to a cold ``fit``
     (see :meth:`~repro.api.solver.BundlingSolver.refit`).
     """
@@ -202,11 +196,9 @@ class EngineConfig:
     storage: str | None = None
     chunk_elements: int | None = DEFAULT_CHUNK_ELEMENTS
     n_workers: int = 1
-    executor: str = "thread"
     state_dtype: str | None = None
     mixed_kernel: str = "auto"
     raw_cache_entries: int | None = None
-    retry: RetryPolicy | None = None
     drift_threshold: float = DEFAULT_DRIFT_THRESHOLD
 
     def __post_init__(self) -> None:
@@ -232,7 +224,6 @@ class EngineConfig:
             self, "chunk_elements", check_chunk_elements(self.chunk_elements)
         )
         object.__setattr__(self, "n_workers", check_n_workers(self.n_workers))
-        object.__setattr__(self, "executor", check_executor(self.executor))
         object.__setattr__(
             self, "mixed_kernel", check_mixed_kernel(self.mixed_kernel)
         )
@@ -242,15 +233,6 @@ class EngineConfig:
                 "raw_cache_entries",
                 check_positive_int(self.raw_cache_entries, "raw_cache_entries"),
             )
-        retry = self.retry
-        if isinstance(retry, dict):
-            retry = RetryPolicy.from_dict(retry)
-        if retry is not None and not isinstance(retry, RetryPolicy):
-            raise ValidationError(
-                f"retry must be a RetryPolicy, dict, or None, got "
-                f"{type(retry).__name__}"
-            )
-        object.__setattr__(self, "retry", retry)
         object.__setattr__(
             self, "drift_threshold", check_drift_threshold(self.drift_threshold)
         )
@@ -276,10 +258,8 @@ class EngineConfig:
             storage=self.storage,
             raw_cache_entries=self.raw_cache_entries,
             n_workers=self.n_workers,
-            executor=self.executor,
             state_dtype=self.state_dtype,
             mixed_kernel=self.mixed_kernel,
-            retry=self.retry,
             drift_threshold=self.drift_threshold,
         )
 
@@ -314,11 +294,9 @@ class EngineConfig:
             storage=engine.wtp.storage,
             chunk_elements=engine.chunk_elements,
             n_workers=engine.n_workers,
-            executor=engine.executor,
             state_dtype=engine.state_dtype.name,
             mixed_kernel=engine.mixed_kernel,
             raw_cache_entries=None if cache_entries == default_cache else cache_entries,
-            retry=None if engine.retry == RetryPolicy() else engine.retry,
             drift_threshold=engine.drift_threshold,
         )
 
@@ -332,11 +310,9 @@ class EngineConfig:
             "storage": self.storage,
             "chunk_elements": self.chunk_elements,
             "n_workers": self.n_workers,
-            "executor": self.executor,
             "state_dtype": self.state_dtype,
             "mixed_kernel": self.mixed_kernel,
             "raw_cache_entries": self.raw_cache_entries,
-            "retry": None if self.retry is None else self.retry.to_dict(),
             "drift_threshold": self.drift_threshold,
         }
 

@@ -1,33 +1,26 @@
 """Deterministic fault injection for resilience testing.
 
-Production throws faults the unit tests never do: a worker process OOM-killed
-mid-scan, ``/dev/shm`` filling up under a co-tenant, a pool that hangs.  The
-resilience layer (:mod:`repro.core.retry`, the retry/degradation logic in
-:mod:`repro.core.kernels`, the staging fallback in
-:mod:`repro.core.revenue`) exists to survive exactly those events — and this
-module makes them reproducible on demand, so ``tests/test_resilience.py``
-and the CI chaos job can exercise every recovery path deterministically.
+Production throws faults the unit tests never do: a thread pool that cannot
+start, a fitting process killed mid-checkpoint, a serving worker that dies
+mid-batch or goes silent.  The recovery paths — the in-order fallback of
+:mod:`repro.core.kernels`, checkpoint resume, the serving fleet's supervision
+— exist to survive exactly those events, and this module makes them
+reproducible on demand, so ``tests/test_resilience.py``,
+``tests/test_supervisor.py`` and the CI chaos job can exercise every
+recovery path deterministically.
 
 Faults are declared in the ``REPRO_FAULT_INJECT`` environment variable (so
 spawned worker processes inherit them) as a comma-separated list of
 ``site:trigger`` rules::
 
-    REPRO_FAULT_INJECT="worker_crash:0.1,shm_alloc:once,chunk_timeout:3"
+    REPRO_FAULT_INJECT="worker_crash:0.1,thread_pool:once,fit_crash:3"
 
 Sites consulted by the engine stack:
 
-``worker_crash``
-    A process-executor worker SIGKILLs itself before pricing a chunk
-    (only ever fires inside a worker process — never in the parent).
-``chunk_timeout``
-    A worker sleeps for the rule's numeric argument (seconds) before each
-    chunk, so a configured per-scan wall-clock timeout trips.
-``shm_alloc``
-    :class:`~repro.core.shm.SharedWTPStore` allocation raises
-    :class:`~repro.errors.SharedMemoryError` (as if ``/dev/shm`` were full).
 ``thread_pool``
-    The thread executor fails to start its pool (as if the process hit its
-    thread limit), exercising the ``thread → serial`` rung of the ladder.
+    A streamed scan's thread pool fails to start (as if the process hit
+    its thread limit), exercising the scan's fall back to the in-order
+    loop.
 ``fit_crash``
     The fitting process SIGKILLs itself while writing a checkpoint — the
     hard-kill half of the checkpoint/resume tests.
@@ -54,11 +47,11 @@ Sites consulted by the serving stack (:mod:`repro.serving`):
 Sites consulted by the serving *fleet* (:mod:`repro.serving.supervisor` /
 :mod:`repro.serving.worker`):
 
-``worker_crash`` (shared with the scan executor)
+``worker_crash``
     A fleet worker process SIGKILLs itself before pricing a batch — the
     supervisor must detect the death, retry the batch's requests on a
     sibling, and respawn the worker (only ever fires inside a worker
-    process, like the scan-side site).
+    process — a SIGKILL in the supervisor would take the fleet down).
 ``worker_spawn``
     A freshly spawned fleet worker exits before reporting ready, as if
     its interpreter failed to come up — exercising the supervisor's
@@ -87,14 +80,14 @@ Trigger grammar (per rule):
     decimal point or not).
 ``3`` (any other number)
     Fire on every consultation with ``3.0`` as the numeric argument
-    (:func:`fire` returns it; the ``chunk_timeout`` site reads it as a
+    (:func:`fire` returns it; the ``slow_client`` site reads it as a
     sleep duration, ``fit_crash`` as the 1-based consultation index to die
     on).
 ``latch:/path/to/file``
     Fire exactly once *across processes*: the first consulting process to
     atomically create the latch file fires, everyone else (and every later
-    consultation) passes.  This is how a test arranges "exactly one worker
-    crashes, the rebuilt pool succeeds".
+    consultation) passes.  This is how a test arranges "exactly one fleet
+    worker crashes, its respawn succeeds".
 
 Consultation is cheap (one env read + dict lookup when no spec is set), and
 parsing is cached per spec string, so tests can flip the env var between
@@ -275,5 +268,5 @@ def reset() -> None:
 
 def in_worker() -> bool:
     """True inside a multiprocessing worker (``worker_crash`` never fires
-    in the parent — a SIGKILL there would take the whole fit down)."""
+    in the supervisor — a SIGKILL there would take the whole fleet down)."""
     return multiprocessing.parent_process() is not None

@@ -21,51 +21,36 @@ any larger ``chunk_elements``; the budget remains their ceiling.
 Parallel execution
 ------------------
 The chunk loop is embarrassingly parallel: chunks touch disjoint output
-slices and numpy releases the GIL inside the pricing kernels.  The
-``executor`` option selects how the *same* chunk schedule is executed:
+slices and numpy releases the GIL inside the pricing kernels.  ``n_workers``
+alone decides how the *same* chunk schedule runs:
 
-``"serial"``
+``n_workers == 1``
     One buffer set, chunks in order — the reference execution.
-``"thread"`` (default)
-    With ``n_workers > 1`` the chunks fan out over a
-    ``ThreadPoolExecutor``; every worker owns a private fill buffer and
-    processes a strided subset of the serial schedule.  Fill callbacks run
-    concurrently and must be thread-safe; the engine's raw-WTP cache
-    (:class:`LRUArrayCache`) takes a lock around its bookkeeping for
-    exactly this reason.  Speedup is capped by the GIL-free fraction of
-    the scan (the numpy kernels release it, the Python-level fill work
-    does not).
-``"process"``
-    Chunk subsets fan out over a spawn-based ``ProcessPoolExecutor`` for
-    real multi-core scaling.  The fill callback must then be *picklable*
-    (the engine stages its scan inputs in shared memory and passes the
-    :mod:`repro.core.shm` fill objects); each worker process allocates its
-    own buffers, prices its chunk subset, and ships back only the O(width)
-    per-chunk result vectors, which the parent scatters into the output
-    arrays.  ``REPRO_EXECUTOR_START_METHOD`` overrides the start method
-    (default ``spawn`` — fork is unsafe under live threads).
+``n_workers > 1``
+    The chunks fan out over a ``ThreadPoolExecutor``; every worker owns a
+    private fill buffer and processes a strided subset of the serial
+    schedule.  Fill callbacks run concurrently and must be thread-safe;
+    the engine's raw-WTP cache (:class:`LRUArrayCache`) takes a lock
+    around its bookkeeping for exactly this reason.  Speedup is capped by
+    the GIL-free fraction of the scan (the numpy kernels release it, the
+    Python-level fill work does not).
 
-Because the chunk schedule never depends on ``n_workers`` or ``executor``,
-and every chunk's pricing is column-independent and internally reduced
-through fixed-tree sums, all three executors produce bit-identical results
+Because the chunk schedule never depends on ``n_workers``, and every
+chunk's pricing is column-independent and internally reduced through
+fixed-tree sums, threaded results are bit-identical to the in-order loop
 for any worker count and chunk budget.
 
 Resilience
 ----------
-That same chunk purity makes the executors *recoverable*: a chunk (or a
-whole scan) may be re-executed after a failure without changing a bit of
-the result.  Process scans run under a :class:`~repro.core.retry.RetryPolicy`
-— a broken pool (worker OOM-killed, SIGKILLed, or crashed mid-chunk) is
-torn down and rebuilt with exponential backoff, re-running only the chunk
-subsets that never completed; a per-scan wall-clock timeout kills hung
-workers and raises :class:`~repro.errors.ScanTimeoutError`.  When retries
-are exhausted the scan *degrades* one executor rung — ``process → thread →
-serial`` — emitting a :class:`~repro.core.retry.DegradedExecutionWarning`
-instead of aborting the fit.  Only the :class:`~repro.errors.ExecutorError`
-family degrades; a deterministic exception raised by the fill or pricing
-arithmetic would fail identically on every rung and propagates immediately.
-Recovery paths are exercised deterministically through
-:mod:`repro.core.faults`.
+That same chunk purity makes a scan *recoverable*: it may be re-executed
+after a failure without changing a bit of the result.  When the thread
+pool cannot start (an :class:`~repro.errors.ExecutorError`, e.g. the
+process thread limit is exhausted) the scan falls back to the in-order
+loop, emitting a :class:`~repro.core.retry.DegradedExecutionWarning`
+instead of aborting the fit.  A deterministic exception raised by the fill
+or pricing arithmetic would fail identically in order and propagates
+immediately.  The fallback is exercised deterministically through the
+``thread_pool`` site of :mod:`repro.core.faults`.
 
 Also here: the LRU cache that keeps :class:`~repro.core.revenue.RevenueEngine`'s
 per-bundle raw-WTP vectors memory-flat over long greedy runs.
@@ -73,18 +58,14 @@ per-bundle raw-WTP vectors memory-flat over long greedy runs.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import signal
 import threading
 import time
 import traceback
 import warnings
 from collections import OrderedDict
 from collections.abc import Callable, Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -99,14 +80,8 @@ from repro.core.pricing import (
     price_pure_batch,
     resolve_mixed_kernel,
 )
-from repro.core.retry import (
-    DegradedExecutionWarning,
-    RetryPolicy,
-    check_retry_policy,
-    record_degradation,
-    record_retry_attempt,
-)
-from repro.errors import ExecutorError, ScanTimeoutError, ValidationError
+from repro.core.retry import DegradedExecutionWarning, record_degradation
+from repro.errors import ExecutorError, ValidationError
 
 #: Block cap of both pair scans, in elements of fill buffer per chunk
 #: (1 MB of float64): the pure scan's one ``(M, width)`` buffer, or the
@@ -155,45 +130,17 @@ def check_n_workers(n_workers: int) -> int:
     return int(n_workers)
 
 
-#: Chunk-scan execution backends (see the module docstring).
-EXECUTORS = ("serial", "thread", "process")
+def available_cpus() -> int:
+    """CPUs this process may actually schedule on.
 
-#: Start method for process-executor pools.  ``spawn`` everywhere: fork is
-#: unsafe when the parent has live threads (earlier thread scans, BLAS
-#: pools) and would silently differ across platforms.
-_START_METHOD_ENV = "REPRO_EXECUTOR_START_METHOD"
-
-
-def check_executor(executor: str) -> str:
-    """Validate an executor name (``"serial"``, ``"thread"``, ``"process"``)."""
-    if executor not in EXECUTORS:
-        raise ValidationError(
-            f"executor must be one of {EXECUTORS}, got {executor!r}"
-        )
-    return executor
-
-
-def _mp_context():
-    method = os.environ.get(_START_METHOD_ENV, "spawn")
-    if method not in multiprocessing.get_all_start_methods():
-        raise ValidationError(
-            f"{_START_METHOD_ENV}={method!r} is not a start method on this "
-            f"platform; available: {multiprocessing.get_all_start_methods()}"
-        )
-    return multiprocessing.get_context(method)
-
-
-def _resolve_execution(executor: str, n_workers: int, n_chunks: int) -> tuple[str, int]:
-    """Effective ``(executor, n_workers)`` for a scan.
-
-    ``"serial"`` pins one worker regardless of ``n_workers``; a single
-    worker (or single chunk) degenerates every executor to serial, so the
-    fan-out machinery only ever engages when it can actually overlap work.
+    ``os.cpu_count()`` reports the *host's* cores, which overcounts inside
+    cpu-limited containers (docker ``--cpus``, taskset); the affinity mask
+    is the honest bound on parallel speedup where the platform exposes it.
     """
-    n_workers = min(check_n_workers(n_workers), max(1, n_chunks))
-    if check_executor(executor) == "serial" or n_workers <= 1:
-        return "serial", 1
-    return executor, n_workers
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    if getaffinity is not None:
+        return len(getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _release_scan_frames(error: BaseException) -> None:
@@ -258,7 +205,7 @@ def run_chunks(
         pool = ThreadPoolExecutor(max_workers=n_workers)
     except (RuntimeError, OSError) as error:
         # Thread creation can fail under RLIMIT_NPROC / memory pressure;
-        # surface it as an ExecutorError so the ladder can fall to serial.
+        # surface it as an ExecutorError so the scan can fall to serial.
         raise ExecutorError(f"thread pool unavailable: {error}") from error
     with pool:
         futures = [pool.submit(worker, index) for index in range(n_workers)]
@@ -272,6 +219,25 @@ def run_chunks(
             if error is not None:
                 _release_scan_frames(error)
         raise first_error
+
+
+def _run_chunks_resilient(
+    scan: str, chunks, make_buffers, process, n_workers: int
+) -> None:
+    """:func:`run_chunks` on threads, falling back to the in-order loop when
+    the pool cannot start (warned and counted, never silent)."""
+    if n_workers > 1:
+        try:
+            run_chunks(chunks, make_buffers, process, n_workers)
+            return
+        except ExecutorError as error:
+            _release_scan_frames(error)
+            record_degradation(scan, "thread", "serial")
+            warnings.warn(
+                DegradedExecutionWarning(scan, "thread", "serial", error),
+                stacklevel=3,
+            )
+    run_chunks(chunks, make_buffers, process, 1)
 
 
 def chunk_width(
@@ -303,282 +269,14 @@ def iter_chunks(n_columns: int, width: int) -> Iterator[tuple[int, int]]:
         yield start, min(start + width, n_columns)
 
 
-# ---------------------------------------------------------- process execution
-def available_cpus() -> int:
-    """CPUs this process may actually schedule on.
-
-    ``os.cpu_count()`` reports the *host's* cores, which overcounts inside
-    cpu-limited containers (docker ``--cpus``, taskset); the affinity mask
-    is the honest bound on parallel speedup where the platform exposes it.
-    """
-    getaffinity = getattr(os, "sched_getaffinity", None)
-    if getaffinity is not None:
-        return len(getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _close_fill(fill) -> None:
-    """Release a fill's shared-memory attachments, when it has any."""
-    closer = getattr(fill, "close", None)
-    if closer is not None:
-        closer()
-
-
-def _worker_fault_point() -> None:
-    """Consult the fault injector before pricing a chunk (workers only).
-
-    ``worker_crash`` SIGKILLs the worker process — the parent sees a
-    ``BrokenProcessPool``, exactly as after an OOM kill.  ``chunk_timeout``
-    sleeps for the rule's argument, so a configured ``scan_timeout`` trips.
-    Both are no-ops in the parent process: a self-SIGKILL there would take
-    the whole fit down instead of simulating a lost worker.
-    """
-    if not faults.in_worker():
-        return
-    if faults.fire("worker_crash") is not None:
-        os.kill(os.getpid(), signal.SIGKILL)
-    delay = faults.fire("chunk_timeout")
-    if delay is not None:
-        time.sleep(delay)
-
-
-def _pure_scan_buffer(n_users: int, width: int) -> np.ndarray:
-    """One worker's pure-scan fill buffer, column-major.
+def _fill_buffer(n_users: int, width: int) -> np.ndarray:
+    """One ``(n_users, width)`` fill buffer, column-major.
 
     Fortran order makes every candidate column ``block[:, k]`` contiguous,
     so a fill writes each column in one unit-stride pass and the pricing
     kernel reads it the same way.
     """
     return np.empty((n_users, width), dtype=np.float64, order="F")
-
-
-def _price_pure_chunk(fill, buffer, start, stop, adoption, grid, chunk_elements):
-    """Fill and price one pure chunk: the single arithmetic both executors run.
-
-    The serial/thread closures and the process workers all come through
-    here, so cross-executor bit-identity cannot drift by a one-sided edit.
-    """
-    block = buffer[:, : stop - start]
-    fill(block, start, stop)
-    return price_pure_batch(block, adoption, grid, chunk_elements=chunk_elements)
-
-
-def _price_mixed_chunk(
-    fill_pair, buffers, start, stop, adoption, grid, chunk_elements, kernel
-):
-    """Fill and price one mixed chunk (see :func:`_price_pure_chunk`)."""
-    wtp_buf, score_buf, pay_buf, floors, ceilings = buffers
-    count = stop - start
-    for offset in range(count):
-        floor, ceiling = fill_pair(
-            start + offset,
-            wtp_buf[:, offset],
-            score_buf[:, offset],
-            pay_buf[:, offset],
-        )
-        floors[offset] = floor
-        ceilings[offset] = ceiling
-    return kernel(
-        wtp_buf[:, :count],
-        score_buf[:, :count],
-        pay_buf[:, :count],
-        floors[:count],
-        ceilings[:count],
-        adoption,
-        grid,
-        chunk_elements=chunk_elements,
-    )
-
-
-def _mixed_scan_buffers(n_users: int, width: int) -> tuple:
-    """One worker's mixed-scan buffer set (three columns + two interval rows).
-
-    The three column buffers are Fortran-ordered, like the pure scan's
-    (:func:`_pure_scan_buffer`): each ``fill_pair`` column is contiguous.
-    """
-    return (
-        np.empty((n_users, width), dtype=np.float64, order="F"),
-        np.empty((n_users, width), dtype=np.float64, order="F"),
-        np.empty((n_users, width), dtype=np.float64, order="F"),
-        np.empty(width, dtype=np.float64),
-        np.empty(width, dtype=np.float64),
-    )
-
-
-def _pure_chunk_subset(
-    fill, chunks, n_users, width, adoption, grid, chunk_elements
-):
-    """Worker-side pure scan over a chunk subset; returns per-chunk results.
-
-    Runs in a worker process: allocates its own fill buffer, prices each
-    chunk through :func:`_price_pure_chunk` (the same call the serial scan
-    makes), and returns ``(start, stop, prices, revenues, buyers)`` per
-    chunk — O(width) floats each, so result transport is negligible next
-    to the pricing work.
-    """
-    buffer = _pure_scan_buffer(n_users, width)
-    results = []
-    try:
-        for start, stop in chunks:
-            _worker_fault_point()
-            p, r, b = _price_pure_chunk(
-                fill, buffer, start, stop, adoption, grid, chunk_elements
-            )
-            results.append((start, stop, p, r, b))
-    finally:
-        _close_fill(fill)
-    return results
-
-
-def _mixed_chunk_subset(
-    fill_pair, chunks, n_users, width, adoption, grid, chunk_elements, kernel
-):
-    """Worker-side mixed scan over a chunk subset (see :func:`_pure_chunk_subset`)."""
-    buffers = _mixed_scan_buffers(n_users, width)
-    results = []
-    try:
-        for start, stop in chunks:
-            _worker_fault_point()
-            p, g, u, f = _price_mixed_chunk(
-                fill_pair, buffers, start, stop, adoption, grid, chunk_elements, kernel
-            )
-            results.append((start, stop, p, g, u, f))
-    finally:
-        _close_fill(fill_pair)
-    return results
-
-
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a process pool down hard: kill every worker, never join a hung one.
-
-    ``shutdown(wait=True)`` would block on workers that are hung (the very
-    condition a scan timeout exists to escape) or sleeping; killing first
-    makes teardown prompt on every abnormal path.  Reaching into
-    ``_processes`` is deliberate — the executor API offers no kill — and is
-    guarded so a future stdlib rename degrades to a non-waiting shutdown
-    rather than an AttributeError.
-    """
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.kill()
-        except (OSError, AttributeError):  # already dead / exotic Process impl
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _run_process_chunks(
-    worker,
-    fill,
-    chunks,
-    n_workers: int,
-    kwargs: dict,
-    policy: RetryPolicy | None = None,
-) -> list:
-    """Fan strided chunk subsets over a process pool; return all chunk results.
-
-    Each worker receives every ``n_workers``-th chunk of the *serial*
-    schedule — the same striding as the thread path — plus the picklable
-    ``fill``; the pool is per-scan, so worker processes never outlive the
-    scan (and their shared-memory attachments die with them even if
-    :func:`_close_fill` was skipped by a crash).
-
-    Runs under *policy*: a ``BrokenProcessPool`` (worker SIGKILLed or
-    crashed) tears the pool down hard, backs off, rebuilds, and re-runs
-    only the subsets that never completed — chunk purity makes the merged
-    result bit-identical to an undisturbed scan.  After ``max_attempts``
-    broken pools the scan raises :class:`~repro.errors.ExecutorError`; when
-    ``scan_timeout`` elapses first it raises
-    :class:`~repro.errors.ScanTimeoutError` (no retry — the budget is for
-    the whole scan).  Exceptions *raised by* a worker propagate untouched:
-    they are deterministic and would recur on any attempt.
-    """
-    policy = check_retry_policy(policy)
-    pending = {index: chunks[index::n_workers] for index in range(n_workers)}
-    results: list = []
-    deadline = None
-    if policy.scan_timeout is not None:
-        deadline = time.monotonic() + policy.scan_timeout
-    last_error: BaseException | None = None
-    for attempt in range(1, policy.max_attempts + 1):
-        pool = ProcessPoolExecutor(
-            max_workers=min(n_workers, len(pending)), mp_context=_mp_context()
-        )
-        broken: BaseException | None = None
-        try:
-            futures = {
-                index: pool.submit(worker, fill, subset, **kwargs)
-                for index, subset in pending.items()
-            }
-            for index, future in list(futures.items()):
-                remaining = None
-                if deadline is not None:
-                    remaining = max(0.0, deadline - time.monotonic())
-                try:
-                    subset_results = future.result(timeout=remaining)
-                except FuturesTimeoutError:
-                    raise ScanTimeoutError(
-                        f"streamed scan exceeded its {policy.scan_timeout:g}s "
-                        f"wall-clock budget with {len(pending)} chunk "
-                        "subset(s) unfinished"
-                    ) from None
-                results.extend(subset_results)
-                del pending[index]
-        except BrokenProcessPool as error:
-            broken = error
-        except BaseException:
-            _terminate_pool(pool)
-            raise
-        if broken is None:
-            pool.shutdown(wait=True)
-            return results
-        _terminate_pool(pool)
-        last_error = broken
-        if attempt < policy.max_attempts:
-            record_retry_attempt()
-            time.sleep(policy.delay(attempt))
-    raise ExecutorError(
-        f"process pool broke {policy.max_attempts} time(s) in a row; "
-        f"{len(pending)} chunk subset(s) never completed"
-    ) from last_error
-
-
-def _degrade(
-    policy: RetryPolicy,
-    scan: str,
-    from_executor: str,
-    to_executor: str,
-    error: BaseException,
-) -> None:
-    """One rung down the ladder: warn, or re-raise when degradation is off."""
-    if not policy.degrade:
-        raise error
-    _release_scan_frames(error)
-    record_degradation(scan, from_executor, to_executor)
-    warnings.warn(
-        DegradedExecutionWarning(scan, from_executor, to_executor, error),
-        stacklevel=3,
-    )
-
-
-def _run_chunks_resilient(
-    scan: str,
-    chunks,
-    make_buffers,
-    process,
-    executor: str,
-    n_workers: int,
-    policy: RetryPolicy,
-) -> None:
-    """The thread → serial rungs of the ladder (the process rung lives in
-    the stream functions, whose process path bypasses ``run_chunks``)."""
-    if executor == "thread" and n_workers > 1:
-        try:
-            run_chunks(chunks, make_buffers, process, n_workers)
-            return
-        except ExecutorError as error:
-            _degrade(policy, scan, "thread", "serial", error)
-    run_chunks(chunks, make_buffers, process, 1)
 
 
 # -------------------------------------------------------------- pure streaming
@@ -606,36 +304,27 @@ def stream_pure_prices(
     grid: PriceGrid,
     chunk_elements: int | None = DEFAULT_CHUNK_ELEMENTS,
     n_workers: int = 1,
-    executor: str = "thread",
-    retry: RetryPolicy | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Streamed :func:`~repro.core.pricing.price_pure_batch` over *n_columns*.
 
     ``fill(block, start, stop)`` must write the per-user WTP columns for
     candidates ``[start, stop)`` into ``block`` (shape ``(n_users,
-    stop-start)``, float64).  ``block`` is column-major (Fortran order) on
-    every executor, so each candidate column ``block[:, k]`` is contiguous
-    and a fill can write it in one unit-stride ``out=`` pass.  Buffers are
-    reused across chunks, so ``fill`` must overwrite every entry it is
-    handed; with ``n_workers > 1`` chunks run concurrently (one private
-    buffer per worker), so ``fill`` must also be thread-safe
-    (``executor="thread"``) or picklable (``executor="process"`` — see the
-    module docstring; the engine passes
-    :class:`repro.core.shm.SharedPairFill` so workers attach to shared
-    parent rows by name).
+    stop-start)``, float64).  ``block`` is column-major (Fortran order),
+    so each candidate column ``block[:, k]`` is contiguous and a fill can
+    write it in one unit-stride ``out=`` pass.  Buffers are reused across
+    chunks, so ``fill`` must overwrite every entry it is handed; with
+    ``n_workers > 1`` chunks run concurrently on threads (one private
+    buffer per worker), so ``fill`` must also be thread-safe.
 
     Chunks hold at most ``min(chunk_elements, SCAN_BLOCK_ELEMENTS)``
     elements (at least one column); ``chunk_elements=None`` prices every
     column in one chunk.  The ``scan.pure_prices`` span records the width
     used.  Returns ``(prices, revenues, buyers)`` of length ``n_columns`` —
     bit-identical to pricing one giant stacked array, at bounded memory,
-    for any chunk budget, worker count, and executor.  *retry* governs the
-    process path's retries/timeout and whether the scan may degrade
-    ``process → thread → serial`` instead of raising (see the module
-    docstring); a degraded scan stays bit-identical, because the chunk
-    schedule and arithmetic never depend on the executor.
+    for any chunk budget and worker count.  A thread pool that cannot
+    start degrades the scan to the in-order loop (see the module
+    docstring), which is bit-identical too.
     """
-    retry = check_retry_policy(retry)
     prices = np.zeros(n_columns)
     revenues = np.zeros(n_columns)
     buyers = np.zeros(n_columns)
@@ -643,70 +332,25 @@ def stream_pure_prices(
         return prices, revenues, buyers
     width = chunk_width(n_columns, n_users, _block_budget(chunk_elements))
     chunks = list(iter_chunks(n_columns, width))
-    executor, n_workers = _resolve_execution(executor, n_workers, len(chunks))
-    started = time.monotonic()
-    with obs.span("scan.pure_prices", columns=n_columns, users=n_users,
-                  chunks=len(chunks), width=width, executor=executor,
-                  workers=n_workers):
-        _run_pure_scan(fill, chunks, width, n_users, adoption, grid,
-                       chunk_elements, executor, n_workers, retry,
-                       prices, revenues, buyers)
-    _record_scan("pure", len(chunks), time.monotonic() - started)
-    return prices, revenues, buyers
-
-
-def _run_pure_scan(fill, chunks, width, n_users, adoption, grid, chunk_elements,
-                   executor, n_workers, retry, prices, revenues, buyers) -> None:
-    """The executor ladder of :func:`stream_pure_prices`, writing in place."""
-    degraded_from_process = False
-    if executor == "process":
-        try:
-            chunk_results = _run_process_chunks(
-                _pure_chunk_subset,
-                fill,
-                chunks,
-                n_workers,
-                dict(
-                    n_users=n_users,
-                    width=width,
-                    adoption=adoption,
-                    grid=grid,
-                    chunk_elements=chunk_elements,
-                ),
-                retry,
-            )
-        except ExecutorError as error:
-            _degrade(retry, "pure-scan", "process", "thread", error)
-            degraded_from_process = True
-            executor = "thread"
-        else:
-            for start, stop, p, r, b in chunk_results:
-                prices[start:stop] = p
-                revenues[start:stop] = r
-                buyers[start:stop] = b
-            return
+    n_workers = min(check_n_workers(n_workers), len(chunks))
 
     def make_buffers() -> tuple:
-        return (_pure_scan_buffer(n_users, width),)
+        return (_fill_buffer(n_users, width),)
 
     def process(buffers: tuple, start: int, stop: int) -> None:
-        (buffer,) = buffers
-        p, r, b = _price_pure_chunk(
-            fill, buffer, start, stop, adoption, grid, chunk_elements
-        )
+        block = buffers[0][:, : stop - start]
+        fill(block, start, stop)
+        p, r, b = price_pure_batch(block, adoption, grid, chunk_elements=chunk_elements)
         prices[start:stop] = p
         revenues[start:stop] = r
         buyers[start:stop] = b
 
-    try:
-        _run_chunks_resilient(
-            "pure-scan", chunks, make_buffers, process, executor, n_workers, retry
-        )
-    finally:
-        if degraded_from_process:
-            # The picklable shared-memory fill was meant for workers; the
-            # fallback ran it in-parent, so release its attachments here.
-            _close_fill(fill)
+    started = time.monotonic()
+    with obs.span("scan.pure_prices", columns=n_columns, users=n_users,
+                  chunks=len(chunks), width=width, workers=n_workers):
+        _run_chunks_resilient("pure-scan", chunks, make_buffers, process, n_workers)
+    _record_scan("pure", len(chunks), time.monotonic() - started)
+    return prices, revenues, buyers
 
 
 # ------------------------------------------------------------- mixed streaming
@@ -719,8 +363,6 @@ def stream_mixed_merges(
     chunk_elements: int | None = DEFAULT_CHUNK_ELEMENTS,
     n_workers: int = 1,
     mixed_kernel: str = "band",
-    executor: str = "thread",
-    retry: RetryPolicy | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Streamed mixed-merge pricing over *n_pairs* candidates.
 
@@ -728,14 +370,11 @@ def stream_mixed_merges(
     ``k``'s bundle-WTP column and base choice-state columns (each of length
     ``n_users``, float64) and return its Guiltinan interval ``(floor,
     ceiling)``.  The columns are slices of column-major (Fortran-order)
-    buffers on every executor, so each is contiguous and a fill writes it
-    in one unit-stride ``out=`` pass; the kernel then prices the whole
-    ``(n_users, width)`` block in one pass.  Buffers are reused across
-    chunks, so ``fill_pair`` must overwrite every entry it is handed; it
-    must also be thread-safe when ``n_workers > 1`` under
-    ``executor="thread"``, and picklable under ``executor="process"`` (the
-    engine passes :class:`repro.core.shm.SharedMixedFill`, whose workers
-    attach to the shared parent raw/score/pay rows by name).
+    buffers, so each is contiguous and a fill writes it in one unit-stride
+    ``out=`` pass; the kernel then prices the whole ``(n_users, width)``
+    block in one pass.  Buffers are reused across chunks, so ``fill_pair``
+    must overwrite every entry it is handed; it must also be thread-safe
+    when ``n_workers > 1``.
 
     Chunks hold at most ``min(chunk_elements, SCAN_BLOCK_ELEMENTS)``
     elements across the three fill buffers (:data:`MIXED_FILL_BUFFERS`
@@ -752,16 +391,14 @@ def stream_mixed_merges(
     ``"sorted"`` the step-histogram
     :func:`~repro.core.pricing.price_mixed_bundle_batch_sorted`
     (deterministic adoption only), and ``"auto"`` resolves by adoption
-    model.  The chunk schedule never depends on the worker count or the
-    executor, and the sorted kernel is column-independent, so its results
-    are bit-identical for any chunk budget, worker count, and executor.
+    model.  The chunk schedule never depends on the worker count, and the
+    sorted kernel is column-independent, so its results are bit-identical
+    for any chunk budget and worker count.
 
     Returns ``(prices, gains, upgraded, feasible)`` of length ``n_pairs``.
-    *retry* governs the process path's retries/timeout and the
-    ``process → thread → serial`` degradation ladder, exactly as in
-    :func:`stream_pure_prices`.
+    A thread pool that cannot start degrades the scan to the in-order
+    loop, exactly as in :func:`stream_pure_prices`.
     """
-    retry = check_retry_policy(retry)
     kernel = (
         price_mixed_bundle_batch_sorted
         if resolve_mixed_kernel(mixed_kernel, adoption) == "sorted"
@@ -777,71 +414,51 @@ def stream_mixed_merges(
         n_pairs, n_users, _block_budget(chunk_elements), MIXED_FILL_BUFFERS
     )
     chunks = list(iter_chunks(n_pairs, width))
-    executor, n_workers = _resolve_execution(executor, n_workers, len(chunks))
-    started = time.monotonic()
-    with obs.span("scan.mixed_merges", pairs=n_pairs, users=n_users,
-                  chunks=len(chunks), width=width, executor=executor,
-                  workers=n_workers):
-        _run_mixed_scan(fill_pair, chunks, width, n_users, adoption, grid,
-                        chunk_elements, kernel, executor, n_workers, retry,
-                        prices, gains, upgraded, feasible)
-    _record_scan("mixed", len(chunks), time.monotonic() - started)
-    return prices, gains, upgraded, feasible
-
-
-def _run_mixed_scan(fill_pair, chunks, width, n_users, adoption, grid,
-                    chunk_elements, kernel, executor, n_workers, retry,
-                    prices, gains, upgraded, feasible) -> None:
-    """The executor ladder of :func:`stream_mixed_merges`, writing in place."""
-    degraded_from_process = False
-    if executor == "process":
-        try:
-            chunk_results = _run_process_chunks(
-                _mixed_chunk_subset,
-                fill_pair,
-                chunks,
-                n_workers,
-                dict(
-                    n_users=n_users,
-                    width=width,
-                    adoption=adoption,
-                    grid=grid,
-                    chunk_elements=chunk_elements,
-                    kernel=kernel,
-                ),
-                retry,
-            )
-        except ExecutorError as error:
-            _degrade(retry, "mixed-scan", "process", "thread", error)
-            degraded_from_process = True
-            executor = "thread"
-        else:
-            for start, stop, p, g, u, f in chunk_results:
-                prices[start:stop] = p
-                gains[start:stop] = g
-                upgraded[start:stop] = u
-                feasible[start:stop] = f
-            return
+    n_workers = min(check_n_workers(n_workers), len(chunks))
 
     def make_buffers() -> tuple:
-        return _mixed_scan_buffers(n_users, width)
+        # Three column buffers (bundle WTP, base score, base payment) plus
+        # the two interval rows.
+        return (
+            _fill_buffer(n_users, width),
+            _fill_buffer(n_users, width),
+            _fill_buffer(n_users, width),
+            np.empty(width, dtype=np.float64),
+            np.empty(width, dtype=np.float64),
+        )
 
     def process(buffers: tuple, start: int, stop: int) -> None:
-        p, g, u, f = _price_mixed_chunk(
-            fill_pair, buffers, start, stop, adoption, grid, chunk_elements, kernel
+        wtp_buf, score_buf, pay_buf, floors, ceilings = buffers
+        count = stop - start
+        for offset in range(count):
+            floors[offset], ceilings[offset] = fill_pair(
+                start + offset,
+                wtp_buf[:, offset],
+                score_buf[:, offset],
+                pay_buf[:, offset],
+            )
+        p, g, u, f = kernel(
+            wtp_buf[:, :count],
+            score_buf[:, :count],
+            pay_buf[:, :count],
+            floors[:count],
+            ceilings[:count],
+            adoption,
+            grid,
+            chunk_elements=chunk_elements,
         )
         prices[start:stop] = p
         gains[start:stop] = g
         upgraded[start:stop] = u
         feasible[start:stop] = f
 
-    try:
-        _run_chunks_resilient(
-            "mixed-scan", chunks, make_buffers, process, executor, n_workers, retry
-        )
-    finally:
-        if degraded_from_process:
-            _close_fill(fill_pair)
+    started = time.monotonic()
+    with obs.span("scan.mixed_merges", pairs=n_pairs, users=n_users,
+                  chunks=len(chunks), width=width, workers=n_workers):
+        _run_chunks_resilient("mixed-scan", chunks, make_buffers, process, n_workers)
+    _record_scan("mixed", len(chunks), time.monotonic() - started)
+    return prices, gains, upgraded, feasible
+
 
 
 # ------------------------------------------------------------------ LRU cache

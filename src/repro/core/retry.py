@@ -1,28 +1,23 @@
-"""Retry policy and degradation ladder for the streaming scans.
-
-The streamed pair scans are *chunk-pure*: every chunk's pricing depends
-only on its own inputs and all reductions run through fixed-tree sums, so
-a chunk may be re-executed — on the same executor after a pool rebuild, or
-on a lower rung of the ``process → thread → serial`` ladder — without
-changing a single bit of the scan's result.  That purity is what makes the
-resilience layer safe: retrying and degrading are *correctness-neutral*,
-they only trade throughput for survival.
+"""Retry policy and degradation signals.
 
 :class:`RetryPolicy`
-    The knobs: bounded attempts with exponential backoff for pool-fabric
-    failures (a ``BrokenProcessPool`` after a worker OOM/SIGKILL), an
-    optional per-scan wall-clock timeout (a hung worker must not stall a
-    fit forever), and whether the executor ladder may engage at all.
+    Bounded attempts with exponential backoff, and whether a caller may
+    degrade instead of failing.  The quote micro-batcher
+    (:mod:`repro.serving.batching`) retries a faulting batched kernel
+    under it and, once attempts are exhausted, degrades to sequential
+    pricing.
 
 :class:`DegradedExecutionWarning`
-    The structured warning emitted whenever a scan falls back one rung.
-    It carries the scan kind, the rung it left, the rung it landed on, and
-    the triggering error — monitorable by ``warnings`` filters without
-    parsing message strings.
+    The structured warning emitted whenever work falls back to a slower
+    path: a streamed pair scan whose thread pool cannot start runs in
+    order (:mod:`repro.core.kernels`), and a faulting quote batch is
+    priced request by request.  It carries what degraded, the path it
+    left, the path it landed on, and the triggering error — monitorable
+    by ``warnings`` filters without parsing message strings.
 
-The policy travels with the engine (``RevenueEngine(retry=...)``) and
-serializes through :class:`repro.api.EngineConfig`, so a persisted
-solution records the resilience posture of the fit that produced it.
+Both fallbacks are correctness-neutral: a streamed scan's chunks are pure
+and a quote's arithmetic is per-request, so the degraded path returns the
+same bits, only slower.
 """
 
 from __future__ import annotations
@@ -38,36 +33,27 @@ MAX_ATTEMPTS_CAP = 16
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Resilience knobs for one engine's streamed scans.
+    """Retry and degradation knobs for a retryable operation.
 
     Parameters
     ----------
     max_attempts:
-        Total attempts per process scan, including the first (default 3;
-        1 disables retries).  Only pool-fabric failures are retried — a
-        deterministic exception raised by the scan arithmetic propagates
-        immediately, since re-running it would fail identically.
+        Total attempts, including the first (default 3; 1 disables
+        retries).
     backoff:
         Seconds slept before the second attempt (default 0.05); each later
         attempt multiplies it by ``backoff_factor``.
     backoff_factor:
         Exponential backoff multiplier (default 2.0).
-    scan_timeout:
-        Per-scan wall-clock budget in seconds (default ``None`` — no
-        timeout).  On expiry the pool is torn down hard (hung workers are
-        killed) and the scan raises
-        :class:`~repro.errors.ScanTimeoutError` — or degrades to the
-        thread path when ``degrade`` is on.
     degrade:
-        Whether the executor ladder may engage (default True).  When off,
-        exhausted retries and timeouts raise instead of falling back, for
-        callers that prefer fail-fast over degraded throughput.
+        Whether the caller may fall back to its degraded path (default
+        True).  When off, exhausted retries raise instead of falling
+        back, for callers that prefer fail-fast over degraded throughput.
     """
 
     max_attempts: int = 3
     backoff: float = 0.05
     backoff_factor: float = 2.0
-    scan_timeout: float | None = None
     degrade: bool = True
 
     def __post_init__(self) -> None:
@@ -90,13 +76,6 @@ class RetryPolicy:
                 f"backoff_factor must be >= 1, got {self.backoff_factor!r}"
             )
         object.__setattr__(self, "backoff_factor", factor)
-        if self.scan_timeout is not None:
-            timeout = float(self.scan_timeout)
-            if not timeout > 0.0:
-                raise ValidationError(
-                    f"scan_timeout must be positive or None, got {self.scan_timeout!r}"
-                )
-            object.__setattr__(self, "scan_timeout", timeout)
         if not isinstance(self.degrade, bool):
             raise ValidationError(f"degrade must be a bool, got {self.degrade!r}")
 
@@ -110,7 +89,6 @@ class RetryPolicy:
             "max_attempts": self.max_attempts,
             "backoff": self.backoff,
             "backoff_factor": self.backoff_factor,
-            "scan_timeout": self.scan_timeout,
             "degrade": self.degrade,
         }
 
@@ -120,7 +98,7 @@ class RetryPolicy:
             raise ValidationError(
                 f"RetryPolicy payload must be a dict, got {type(payload).__name__}"
             )
-        known = {"max_attempts", "backoff", "backoff_factor", "scan_timeout", "degrade"}
+        known = {"max_attempts", "backoff", "backoff_factor", "degrade"}
         unknown = sorted(set(payload) - known)
         if unknown:
             raise ValidationError(
@@ -143,34 +121,26 @@ def check_retry_policy(retry) -> RetryPolicy:
     )
 
 
-def record_retry_attempt() -> None:
-    """Count one pool rebuild (an attempt after the first) for /metrics."""
-    obs.counter_inc(
-        "repro_scan_retry_attempts_total",
-        help="Process-pool rebuilds after a broken pool (retries, not firsts).",
-    )
-
-
 def record_degradation(scan: str, from_executor: str, to_executor: str) -> None:
-    """Count one rung of the executor ladder for /metrics."""
+    """Count one scan degradation (threads to the in-order loop) for /metrics."""
     obs.counter_inc(
         "repro_scan_degradations_total",
-        help="Executor-ladder degradations by scan and rung.",
+        help="Scans degraded from threads to the in-order loop.",
         labelnames=("scan", "from_executor", "to_executor"),
         scan=scan, from_executor=from_executor, to_executor=to_executor,
     )
 
 
 class DegradedExecutionWarning(UserWarning):
-    """A scan fell back one executor rung instead of failing the fit.
+    """Work fell back to a slower path instead of failing.
 
     Attributes
     ----------
     scan:
-        Which scan degraded (``"pure-scan"``, ``"mixed-scan"``,
-        ``"pure-staging"``, ``"mixed-staging"``).
+        What degraded (``"pure-scan"`` or ``"mixed-scan"`` for a streamed
+        pair scan, ``"quote-batch"`` for the micro-batcher).
     from_executor / to_executor:
-        The rung left and the rung landed on.
+        The path left and the path landed on.
     cause:
         The triggering exception.
     """

@@ -32,7 +32,6 @@ revisit surviving bundles across iterations.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
@@ -44,17 +43,10 @@ from repro.core.kernels import (
     DEFAULT_CHUNK_ELEMENTS,
     LRUArrayCache,
     check_chunk_elements,
-    check_executor,
     check_n_workers,
     stream_mixed_merges,
     stream_pure_prices,
 )
-from repro.core.retry import (
-    DegradedExecutionWarning,
-    RetryPolicy,
-    check_retry_policy,
-)
-from repro.core.shm import SharedMixedFill, SharedPairFill, SharedWTPStore
 from repro.core.pricing import (
     MixedMerge,
     PriceGrid,
@@ -70,7 +62,7 @@ from repro.core.support import (
 )
 from repro.core.bundle import Bundle
 from repro.core.wtp import WTPMatrix, _resolve_dtype
-from repro.errors import PricingError, SharedMemoryError, ValidationError
+from repro.errors import PricingError, ValidationError
 from repro.utils.validation import check_fraction
 
 
@@ -192,25 +184,13 @@ class RevenueEngine:
         Default ``max(2·n_items, 128)`` — enough for every singleton plus a
         full set of live bundles, keeping long runs memory-flat.
     n_workers:
-        Worker threads for the streaming pair scans (default 1, serial).
-        Chunks fan out over a thread pool with one private fill buffer per
-        worker; numpy releases the GIL inside the pricing kernels, so on
-        multi-core hardware the scans scale with cores while results stay
-        bit-identical to the serial scan.
-    executor:
-        Execution backend for the streamed scans: ``"thread"`` (default —
-        the GIL-sharing pool above), ``"process"`` (worker *processes*
-        attached to shared-memory scan inputs, for real multi-core scaling
-        of the O(M·N²) pair scans), or ``"serial"`` (force in-order
-        execution regardless of ``n_workers``).  The process executor
-        engages on the pair scans (:meth:`pure_merge_gains` /
-        :meth:`mixed_merge_gains`) when ``n_workers > 1``: parent raw-WTP
-        rows — and, for mixed scans, the subtree-state arrays — are staged
-        into :class:`~repro.core.shm.SharedWTPStore` blocks that workers
-        attach by name, so nothing O(M) is ever pickled.  Arbitrary-bundle
-        batch pricing (:meth:`price_bundles`, O(N) work per call) stays on
-        the thread path.  All executors are bit-identical for every
-        chunk/worker combination.
+        Worker threads for the streaming pair scans (default 1, in
+        order).  Chunks fan out over a thread pool with one private fill
+        buffer per worker; numpy releases the GIL inside the pricing
+        kernels, so on multi-core hardware the scans scale with cores while
+        results stay bit-identical to the serial scan.  A pool that cannot
+        start falls back to the in-order loop with a
+        :class:`~repro.core.retry.DegradedExecutionWarning`.
     state_dtype:
         Storage dtype for mixed-strategy subtree states (``"float64"``
         default, or ``"float32"`` to halve the O(N·M) resident state so
@@ -224,16 +204,6 @@ class RevenueEngine:
         deterministic, band otherwise).  The two kernels agree to float
         accumulation order (~1e-9 relative on gains; identical prices and
         upgrade counts).
-    retry:
-        :class:`~repro.core.retry.RetryPolicy` (or its dict payload, or
-        ``None`` for the defaults) governing the streamed scans' resilience:
-        bounded pool-rebuild retries with exponential backoff, an optional
-        per-scan wall-clock timeout, and the ``process → thread → serial``
-        degradation ladder.  Shared-memory staging failures (``/dev/shm``
-        full) likewise degrade the scan to the thread path instead of
-        aborting the fit.  Every retry and fallback path is bit-identical
-        to the serial scan — the chunk schedule and arithmetic never depend
-        on the executor.
     drift_threshold:
         Relative revenue drift at which a warm ``refit`` falls back to a
         cold fit (see :meth:`repro.api.BundlingSolver.refit`).  Carried on
@@ -256,8 +226,6 @@ class RevenueEngine:
         n_workers: int = 1,
         state_dtype: str | None = None,
         mixed_kernel: str = "auto",
-        executor: str = "thread",
-        retry: RetryPolicy | dict | None = None,
         drift_threshold: float = DEFAULT_DRIFT_THRESHOLD,
     ) -> None:
         if not isinstance(wtp, WTPMatrix):
@@ -273,8 +241,6 @@ class RevenueEngine:
         self.objective = objective
         self.chunk_elements = check_chunk_elements(chunk_elements)
         self.n_workers = check_n_workers(n_workers)
-        self.executor = check_executor(executor)
-        self.retry = check_retry_policy(retry)
         self.state_dtype = np.dtype(_resolve_dtype(state_dtype))
         self.mixed_kernel = check_mixed_kernel(mixed_kernel)
         self.drift_threshold = check_drift_threshold(drift_threshold)
@@ -400,34 +366,7 @@ class RevenueEngine:
         self._price_cache[bundle] = priced
         return priced
 
-    def _scan_executor(self) -> str:
-        """Executor for the pair scans; ``"process"`` needs >1 worker to engage."""
-        if self.executor == "process" and self.n_workers <= 1:
-            return "serial"
-        return self.executor
-
-    def _fallback_executor(self) -> str:
-        """Executor for scans whose fill cannot be pickled (closure fills)."""
-        return "serial" if self.executor == "serial" else "thread"
-
-    def _degrade_staging(self, scan: str, error: BaseException) -> None:
-        """Shared-memory staging failed: warn and fall to the thread path.
-
-        Raised *before* any pricing runs (allocation/copy-in happens up
-        front), so the closure-fill re-scan prices every candidate afresh —
-        bit-identical to what the process scan would have produced.  With
-        degradation disabled the error propagates instead.
-        """
-        if not self.retry.degrade:
-            raise error
-        warnings.warn(
-            DegradedExecutionWarning(scan, "process", "thread", error),
-            stacklevel=3,
-        )
-
-    def _price_streamed(
-        self, missing: Sequence[Bundle], fill, executor: str | None = None
-    ) -> None:
+    def _price_streamed(self, missing: Sequence[Bundle], fill) -> None:
         """Price *missing* bundles through the streaming kernel and cache them."""
         prices, revenues, buyers = stream_pure_prices(
             fill,
@@ -437,8 +376,6 @@ class RevenueEngine:
             self.grid,
             self.chunk_elements,
             n_workers=self.n_workers,
-            executor=executor or self._fallback_executor(),
-            retry=self.retry,
         )
         self.stats.pure_pricings += len(missing)
         self.stats.batch_calls += 1
@@ -495,29 +432,21 @@ class RevenueEngine:
                 missing.append(bundle)
                 missing_pairs.append(pairs[k])
             if missing:
-                use_shared = self._scan_executor() == "process"
-                if use_shared:
-                    try:
-                        self._price_merges_shared(priced, missing, missing_pairs)
-                    except SharedMemoryError as error:
-                        self._degrade_staging("pure-staging", error)
-                        use_shared = False
-                if not use_shared:
 
-                    def fill(block: np.ndarray, start: int, stop: int) -> None:
-                        for offset in range(stop - start):
-                            i, j = missing_pairs[start + offset]
-                            column = block[:, offset]
-                            np.add(
-                                self.raw_wtp(priced[i].bundle),
-                                self.raw_wtp(priced[j].bundle),
-                                out=column,
-                            )
-                            scale = self._scale(missing[start + offset].size)
-                            if scale != 1.0:
-                                column *= scale
+                def fill(block: np.ndarray, start: int, stop: int) -> None:
+                    for offset in range(stop - start):
+                        i, j = missing_pairs[start + offset]
+                        column = block[:, offset]
+                        np.add(
+                            self.raw_wtp(priced[i].bundle),
+                            self.raw_wtp(priced[j].bundle),
+                            out=column,
+                        )
+                        scale = self._scale(missing[start + offset].size)
+                        if scale != 1.0:
+                            column *= scale
 
-                    self._price_streamed(missing, fill)
+                self._price_streamed(missing, fill)
             merged_priced = [self._price_cache[b] for b in merged_bundles]
         gains = np.array(
             [
@@ -526,48 +455,6 @@ class RevenueEngine:
             ]
         )
         return gains, merged_priced
-
-    @staticmethod
-    def _remap_pairs(
-        pairs: Sequence[tuple[int, int]],
-    ) -> tuple[list[int], np.ndarray]:
-        """Parent indices referenced by *pairs*, plus pairs remapped onto them.
-
-        The shared store stages one row per *referenced* parent, not one
-        per live bundle, so a pruned scan never copies rows it will not
-        read.  Returns ``(used, remapped)`` with ``used`` sorted and
-        ``remapped[k] == (row_of(i), row_of(j))`` for ``pairs[k] = (i, j)``.
-        """
-        used = sorted({index for pair in pairs for index in pair})
-        row_of = {index: row for row, index in enumerate(used)}
-        remapped = np.array(
-            [[row_of[i], row_of[j]] for i, j in pairs], dtype=np.intp
-        )
-        return used, remapped
-
-    def _price_merges_shared(
-        self,
-        priced: Sequence[PricedBundle],
-        missing: Sequence[Bundle],
-        missing_pairs: Sequence[tuple[int, int]],
-    ) -> None:
-        """Process-executor pure merge scan: parent raw rows in shared memory.
-
-        Stages the referenced parents' raw-WTP vectors (already resident in
-        the LRU cache) into one shared block and streams the scan with the
-        picklable :class:`SharedPairFill` — identical arithmetic to the
-        in-process closure, so results are bit-identical to serial.  The
-        store unlinks every block on exit, worker crash included.
-        """
-        used, remapped = self._remap_pairs(missing_pairs)
-        with SharedWTPStore() as store:
-            raw = store.put_rows(
-                "raw", [self.raw_wtp(priced[index].bundle) for index in used]
-            )
-            # Merged bundles always have >= 2 items, so Equation 1's scale
-            # is the constant (1 + theta) across the scan.
-            fill = SharedPairFill(raw, remapped, self._scale(2))
-            self._price_streamed(missing, fill, executor="process")
 
     # --------------------------------------------------------- mixed pricing
     def offer_state(self, offer: PricedBundle) -> "SubtreeState":
@@ -623,49 +510,37 @@ class RevenueEngine:
             return results
 
         merged_bundles = [priced[i].bundle | priced[j].bundle for i, j in pairs]
-        scan: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
-        if self._scan_executor() == "process":
-            try:
-                scan = self._mixed_merges_shared(priced, states, pairs)
-            except SharedMemoryError as error:
-                self._degrade_staging("mixed-staging", error)
-        if scan is None:
 
-            def fill_pair(
-                k: int, wtp_col: np.ndarray, score_col: np.ndarray, pay_col: np.ndarray
-            ) -> tuple[float, float]:
-                i, j = pairs[k]
-                first, second = priced[i], priced[j]
-                np.add(
-                    self.raw_wtp(first.bundle),
-                    self.raw_wtp(second.bundle),
-                    out=wtp_col,
-                )
-                scale = self._scale(merged_bundles[k].size)
-                if scale != 1.0:
-                    wtp_col *= scale
-                # dtype= forces the float64 loop, so float32-stored states
-                # are widened *before* the addition (np.add would otherwise
-                # sum in float32 and only cast the result).
-                np.add(
-                    states[i].score, states[j].score, out=score_col, dtype=np.float64
-                )
-                np.add(states[i].pay, states[j].pay, out=pay_col, dtype=np.float64)
-                return max(first.price, second.price), first.price + second.price
-
-            scan = stream_mixed_merges(
-                fill_pair,
-                len(pairs),
-                self.n_users,
-                self.adoption,
-                self.grid,
-                self.chunk_elements,
-                n_workers=self.n_workers,
-                mixed_kernel=self.mixed_kernel,
-                executor=self._fallback_executor(),
-                retry=self.retry,
+        def fill_pair(
+            k: int, wtp_col: np.ndarray, score_col: np.ndarray, pay_col: np.ndarray
+        ) -> tuple[float, float]:
+            i, j = pairs[k]
+            first, second = priced[i], priced[j]
+            np.add(
+                self.raw_wtp(first.bundle),
+                self.raw_wtp(second.bundle),
+                out=wtp_col,
             )
-        prices, gains, upgraded, feasible = scan
+            scale = self._scale(merged_bundles[k].size)
+            if scale != 1.0:
+                wtp_col *= scale
+            # dtype= forces the float64 loop, so float32-stored states
+            # are widened *before* the addition (np.add would otherwise
+            # sum in float32 and only cast the result).
+            np.add(states[i].score, states[j].score, out=score_col, dtype=np.float64)
+            np.add(states[i].pay, states[j].pay, out=pay_col, dtype=np.float64)
+            return max(first.price, second.price), first.price + second.price
+
+        prices, gains, upgraded, feasible = stream_mixed_merges(
+            fill_pair,
+            len(pairs),
+            self.n_users,
+            self.adoption,
+            self.grid,
+            self.chunk_elements,
+            n_workers=self.n_workers,
+            mixed_kernel=self.mixed_kernel,
+        )
         return [
             MixedMerge(
                 bundle=merged_bundles[k],
@@ -676,45 +551,6 @@ class RevenueEngine:
             )
             for k in range(len(pairs))
         ]
-
-    def _mixed_merges_shared(
-        self,
-        priced: Sequence[PricedBundle],
-        states: Sequence["SubtreeState"],
-        pairs: Sequence[tuple[int, int]],
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Process-executor mixed merge scan over shared parent rows.
-
-        Stages three blocks — raw WTP (float64), and the subtree-state
-        score/pay arrays in their *stored* dtype, so the worker-side
-        float64 widening reproduces the lean-state arithmetic bit for bit —
-        plus the O(parents) price vector pickled with the fill itself.
-        """
-        used, remapped = self._remap_pairs(pairs)
-        parent_prices = np.array(
-            [priced[index].price for index in used], dtype=np.float64
-        )
-        with SharedWTPStore() as store:
-            raw = store.put_rows(
-                "raw", [self.raw_wtp(priced[index].bundle) for index in used]
-            )
-            score = store.put_rows("score", [states[index].score for index in used])
-            pay = store.put_rows("pay", [states[index].pay for index in used])
-            fill = SharedMixedFill(
-                raw, score, pay, remapped, parent_prices, self._scale(2)
-            )
-            return stream_mixed_merges(
-                fill,
-                len(pairs),
-                self.n_users,
-                self.adoption,
-                self.grid,
-                self.chunk_elements,
-                n_workers=self.n_workers,
-                mixed_kernel=self.mixed_kernel,
-                executor="process",
-                retry=self.retry,
-            )
 
     def mixed_merge(
         self,

@@ -46,32 +46,12 @@ class InfeasibleError(SolverError):
 
 
 class ExecutorError(ReproError):
-    """A scan execution backend failed (worker pool broken, pool unavailable).
+    """A scan execution backend failed (the thread pool could not start).
 
-    Raised by the streaming kernels when an executor cannot complete a scan
-    even after the configured retries — the signal the degradation ladder
-    (``process → thread → serial``) reacts to.  Scans are chunk-pure, so a
-    scan re-run on a lower rung is bit-identical to the one that failed.
-    """
-
-
-class ScanTimeoutError(ExecutorError):
-    """A streamed scan exceeded its per-scan wall-clock budget.
-
-    Raised by the process executor when :class:`repro.core.retry.RetryPolicy`
-    ``scan_timeout`` elapses before every chunk result arrives (e.g. a hung
-    or livelocked worker).  The pool is torn down hard — hung workers are
-    killed, not joined — before this propagates.
-    """
-
-
-class SharedMemoryError(ExecutorError, OSError):
-    """Shared-memory staging failed (allocation, attach, or unlink).
-
-    Inherits from :class:`OSError` so pre-existing ``except OSError`` call
-    sites around ``/dev/shm`` operations keep working.  An allocation
-    failure (``ENOSPC`` on a full ``/dev/shm``) degrades the scan to the
-    thread path instead of aborting the fit.
+    Raised by the streaming kernels when a scan's thread pool is
+    unavailable — the signal the scan reacts to by falling back to the
+    in-order loop.  Scans are chunk-pure, so the in-order re-run is
+    bit-identical to the threaded scan that failed.
     """
 
 

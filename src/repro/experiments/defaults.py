@@ -72,10 +72,10 @@ def default_engine(
         typed, validated, serializable engine recipe that new code should
         construct directly (``EngineConfig(...).build(wtp)``).  The shim
         routes the legacy ``**engine_kwargs`` (``precision=``,
-        ``storage=``, ``chunk_elements=``, ``n_workers=``, ``executor=``,
-        ``state_dtype=``, ``mixed_kernel=``, ``raw_cache_entries=``)
-        through the config, so unknown knobs now fail validation instead
-        of reaching :class:`RevenueEngine` as a ``TypeError``.
+        ``storage=``, ``chunk_elements=``, ``n_workers=``, ``state_dtype=``,
+        ``mixed_kernel=``, ``raw_cache_entries=``) through the config, so
+        unknown knobs now fail validation instead of reaching
+        :class:`RevenueEngine` as a ``TypeError``.
 
     The default engine resolves ``mixed_kernel="auto"`` to the sorted
     step-histogram kernel (step adoption is deterministic); the golden
@@ -139,7 +139,6 @@ def default_engine(
         storage=config.storage,
         raw_cache_entries=config.raw_cache_entries,
         n_workers=config.n_workers,
-        executor=config.executor,
         state_dtype=config.state_dtype,
         mixed_kernel=config.mixed_kernel,
     )

@@ -3,7 +3,7 @@
 A span is a ``with`` block around a unit of work — a scan, a batch, a
 reload — that records one structured event when it exits::
 
-    with span("scan.pure_prices", columns=64, executor="process"):
+    with span("scan.pure_prices", columns=64, workers=2):
         ...
 
 Events land in an in-memory ring buffer (bounded, oldest dropped) and,

@@ -16,9 +16,9 @@ persistent process instead of a cold per-call rebuild:
   drain, and coherent hot reload stamping every response with the
   serving solution's fingerprint;
 * :class:`~repro.serving.supervisor.ServingSupervisor` — N supervised
-  worker processes (:mod:`repro.serving.worker`) behind one socket:
-  shared-memory menu blocks (one state copy per host), crash detection
-  and respawn with backoff, per-worker circuit breakers, rolling
+  worker processes (:mod:`repro.serving.worker`) behind one socket, each
+  building its state from the saved artifact: crash detection and
+  respawn with backoff, per-worker circuit breakers, rolling
   zero-downtime reload, and fleet-wide graceful drain.
 
 The load-bearing invariant, pinned by ``tests/test_serving.py`` /

@@ -8,8 +8,7 @@ and slices the results back to each ticket's future.  Batching amortizes
 per-call overhead without changing a single bit of any answer — the warm
 batch kernel is pinned bit-identical to per-request ``solution.quote()``.
 
-Robustness discipline, mirroring the fit-side scan ladder
-(:mod:`repro.core.retry`):
+Robustness discipline (:mod:`repro.core.retry`):
 
 * **Deadlines.** Tickets whose deadline has already passed are failed with
   :class:`~repro.errors.QuoteDeadlineError` *before* the kernel runs — an

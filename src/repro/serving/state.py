@@ -108,18 +108,9 @@ class ServingState:
     *reference* to a fresh state atomically rather than mutating one in
     place, so a batch priced under a captured state reference is coherent
     even while a reload lands.
-
-    ``shared`` (a :class:`~repro.core.shm.SharedServingBlocks`) lets a
-    fleet worker attach to menu-side arrays the supervisor published once
-    in shared memory — price vector, support indices, scale factors —
-    instead of materializing a private copy per process.  The blocks must
-    carry this solution's fingerprint; a mismatch raises
-    :class:`~repro.errors.ValidationError` rather than pricing from a
-    skewed menu.  Shared or private, the arrays hold the same bits, so
-    quotes remain bit-identical to cold ``solution.quote()`` either way.
     """
 
-    def __init__(self, solution, shared=None) -> None:
+    def __init__(self, solution) -> None:
         config = solution.engine_config
         self.solution = solution
         self.fingerprint: str = solution.fingerprint()
@@ -135,69 +126,22 @@ class ServingState:
         # the fit priced on is rebuilt once for introspection/health.
         offers = solution.configuration.offers
         self.offers = offers
-        self.shared = shared
-        if shared is None:
-            self.offer_supports: tuple[np.ndarray, ...] = tuple(
-                np.asarray(offer.bundle.items, dtype=np.intp) for offer in offers
-            )
-            self.offer_scales: tuple[float, ...] = tuple(
-                1.0 + self.theta if offer.bundle.size >= 2 else 1.0
-                for offer in offers
-            )
-            self.price_vector: np.ndarray = np.asarray(
-                [offer.price for offer in offers], dtype=np.float64
-            )
-        else:
-            if shared.fingerprint != self.fingerprint:
-                raise ValidationError(
-                    "shared serving blocks were published for solution "
-                    f"{shared.fingerprint[:12]}..., not {self.fingerprint[:12]}..."
-                )
-            prices, supports, offsets, scales = shared.open()
-            if prices.shape[0] != len(offers):
-                raise ValidationError(
-                    f"shared serving blocks hold {prices.shape[0]} offers; "
-                    f"the solution has {len(offers)}"
-                )
-            # Zero-copy views into the supervisor's blocks: N workers, one
-            # resident copy of the menu arrays.
-            self.offer_supports = tuple(
-                supports[int(offsets[index]) : int(offsets[index + 1])]
-                for index in range(len(offers))
-            )
-            self.offer_scales = tuple(float(scale) for scale in scales)
-            self.price_vector = prices
+        self.offer_supports: tuple[np.ndarray, ...] = tuple(
+            np.asarray(offer.bundle.items, dtype=np.intp) for offer in offers
+        )
+        self.offer_scales: tuple[float, ...] = tuple(
+            1.0 + self.theta if offer.bundle.size >= 2 else 1.0
+            for offer in offers
+        )
+        self.price_vector: np.ndarray = np.asarray(
+            [offer.price for offer in offers], dtype=np.float64
+        )
         self.price_vector.setflags(write=False)
         self.grid = PriceGrid(n_levels=config.n_levels)
         if isinstance(solution.configuration, MixedConfiguration):
             self.forest: list[OfferNode] | None = solution.configuration.forest()
         else:
             self.forest = None
-
-    def close_shared(self) -> None:
-        """Detach from shared menu blocks, if any (reload/retire path)."""
-        if self.shared is not None:
-            self.shared.close()
-
-    def publish(self, store, key_prefix: str = "serving"):
-        """Publish this state's menu arrays into a ``SharedWTPStore``.
-
-        Returns the picklable :class:`~repro.core.shm.SharedServingBlocks`
-        handle bundle a fleet worker passes back as ``shared=`` — the
-        supervisor-side half of the one-copy-per-host contract.
-        ``key_prefix`` namespaces the store keys (rolling reloads stage a
-        second menu alongside the first).
-        """
-        from repro.core.shm import publish_serving_blocks
-
-        return publish_serving_blocks(
-            store,
-            fingerprint=self.fingerprint,
-            price_vector=self.price_vector,
-            offer_supports=self.offer_supports,
-            offer_scales=self.offer_scales,
-            key_prefix=key_prefix,
-        )
 
     # -------------------------------------------------------------- admission
     def prepare_rows(self, rows) -> PreparedRows:

@@ -4,13 +4,12 @@
 :class:`~repro.serving.server.QuoteServer` across processes without giving
 up one bit of the serving invariant:
 
-* **One state copy.** The supervisor precomputes the solution's menu-side
-  arrays once and publishes them through a
-  :class:`~repro.core.shm.SharedWTPStore`
-  (:func:`~repro.core.shm.publish_serving_blocks`); each worker attaches
-  zero-copy instead of materializing a private menu.  Shared or private,
-  the arrays hold the same bits, so every fleet response stays
-  bit-identical to cold ``solution.quote()``.
+* **One artifact.** The supervisor loads and fingerprints a saved
+  solution before any worker sees it; each worker then builds its own
+  :class:`~repro.serving.state.ServingState` from that same path.  The
+  menu is a few KB, so a private copy per worker costs nothing worth
+  sharing, and every fleet response stays bit-identical to cold
+  ``solution.quote()``.
 * **Crash recovery.** The supervisor owns the listening socket and proxies
   each request to the least-loaded healthy worker.  A worker that dies —
   process exit, heartbeat silence past the timeout, or the
@@ -26,8 +25,9 @@ up one bit of the serving invariant:
   :class:`~repro.errors.CircuitOpenError` (503) rather than hammering
   known-bad processes.
 * **Rolling reload.** ``POST /reload`` rotates workers one at a time:
-  publish the new menu blocks, take a worker out of rotation (never the
-  last ready one), swap its state over the pipe, verify the worker's
+  load and fingerprint the new artifact, take a worker out of rotation
+  (never the last ready one), have it rebuild its state from the new
+  path over the pipe, verify the worker's
   ``X-Solution-Fingerprint`` over HTTP before rotating it back in.
   ``/quote`` never answers 503 during a reload, and every response is
   stamped by exactly one of the two valid fingerprints — never a mix
@@ -63,7 +63,6 @@ import time
 
 from repro import obs
 from repro.core import faults
-from repro.core.shm import SharedWTPStore
 from repro.errors import (
     CircuitOpenError,
     ReloadConflictError,
@@ -258,12 +257,6 @@ class ServingSupervisor:
             for i in range(workers)
         ]
         self.fingerprint: str | None = None
-        self._blocks = None
-        #: One store per published menu generation; the old generation is
-        #: unlinked once a rolling reload fully rotates (mappings held by
-        #: workers survive the unlink until they detach).
-        self._stores: list[SharedWTPStore] = []
-        self._generation = 0
         self._server: asyncio.base_events.Server | None = None
         self._tick_task: asyncio.Task | None = None
         self._respawn_tasks: set[asyncio.Task] = set()
@@ -288,26 +281,13 @@ class ServingSupervisor:
         #: In-flight client requests (the drain condition).
         self._in_flight = 0
 
-    # ----------------------------------------------------------------- publish
-    def _publish(self, path) -> tuple[ServingState, object]:
-        """Load *path* and publish its menu into a fresh store generation."""
+    # -------------------------------------------------------------------- load
+    @staticmethod
+    def _load_state(path) -> ServingState:
+        """Load and fingerprint *path* before any worker is pointed at it."""
         from repro.api.solution import BundlingSolution
 
-        state = ServingState(BundlingSolution.load(path))
-        store = SharedWTPStore()
-        self._generation += 1
-        try:
-            blocks = state.publish(store, key_prefix=f"menu{self._generation}")
-        except BaseException:
-            store.close()
-            raise
-        self._stores.append(store)
-        return state, blocks
-
-    def _retire_store(self, store: SharedWTPStore) -> None:
-        if store in self._stores:
-            self._stores.remove(store)
-            store.close()
+        return ServingState(BundlingSolution.load(path))
 
     # ------------------------------------------------------------------ spawn
     def _spawn(self, handle: WorkerHandle) -> None:
@@ -319,7 +299,7 @@ class ServingSupervisor:
         options["trace_log"] = self.trace_log
         process = self._context.Process(
             target=worker_main,
-            args=(handle.index, self._path, self._blocks, child_conn, options),
+            args=(handle.index, self._path, child_conn, options),
             daemon=True,
             name=f"repro-quote-worker-{handle.index}",
         )
@@ -487,6 +467,15 @@ class ServingSupervisor:
                     self._reap(handle, kill=True)
                     self._schedule_respawn(handle)
 
+    def _respawn_crashed(self, handle: WorkerHandle) -> None:
+        """Reap a ready worker found dead outside the tick and respawn it now."""
+        if handle.phase == "ready":
+            self.worker_deaths += 1
+            self._count_death(handle)
+            handle.phase = "dead"
+            self._reap(handle, kill=True)
+            self._schedule_respawn(handle)
+
     @staticmethod
     def _count_death(handle: WorkerHandle) -> None:
         obs.counter_inc(
@@ -518,14 +507,12 @@ class ServingSupervisor:
 
     # ---------------------------------------------------------------- control
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
-        """Publish the menu, spawn the fleet, open the listening socket."""
+        """Load the menu, spawn the fleet, open the listening socket."""
         self._reload_lock = asyncio.Lock()
         self._started_at = time.monotonic()
         self.draining = False
         loop = asyncio.get_running_loop()
-        state, self._blocks = await loop.run_in_executor(
-            None, self._publish, self._path
-        )
+        state = await loop.run_in_executor(None, self._load_state, self._path)
         self.fingerprint = state.fingerprint
 
         async def _start_slot(handle: WorkerHandle) -> None:
@@ -567,7 +554,6 @@ class ServingSupervisor:
                     raise outcome
         except BaseException:
             await self._shutdown_workers(graceful=False)
-            self._close_stores()
             raise
         self._server = await asyncio.start_server(
             self._handle_connection, host, port, limit=_HEADER_LIMIT
@@ -611,16 +597,8 @@ class ServingSupervisor:
             handle.phase = "dead" if handle.phase != "failed" else "failed"
             self._reap(handle, kill=True)
 
-    def _close_stores(self) -> None:
-        while self._stores:
-            store = self._stores.pop()
-            try:
-                store.close()
-            except Exception:  # pragma: no cover - best-effort cleanup
-                pass
-
     async def stop(self, graceful: bool = True) -> None:
-        """Stop the fleet: listener, workers, stores (idempotent)."""
+        """Stop the fleet: listener, then workers (idempotent)."""
         self.draining = True
         if self._tick_task is not None:
             self._tick_task.cancel()
@@ -639,7 +617,6 @@ class ServingSupervisor:
             await self._server.wait_closed()
             self._server = None
         await self._shutdown_workers(graceful=graceful)
-        self._close_stores()
 
     async def drain(self, timeout: float | None = None) -> bool:
         """Refuse new work, finish in-flight proxied requests, stop."""
@@ -830,12 +807,7 @@ class ServingSupervisor:
                     # connection-refused retries against the breaker would
                     # open it in microseconds and shed load the respawn is
                     # about to absorb.
-                    if handle.phase == "ready":
-                        self.worker_deaths += 1
-                        self._count_death(handle)
-                        handle.phase = "dead"
-                        self._reap(handle)
-                        self._schedule_respawn(handle)
+                    self._respawn_crashed(handle)
                     await asyncio.sleep(0.02)
                     continue
                 # Alive but torn/hung/refusing: record and fail over; the
@@ -879,9 +851,7 @@ class ServingSupervisor:
     async def _rolling_reload(self, path: str) -> tuple[str | None, str]:
         loop = asyncio.get_running_loop()
         try:
-            new_state, new_blocks = await loop.run_in_executor(
-                None, self._publish, path
-            )
+            new_state = await loop.run_in_executor(None, self._load_state, path)
         except Exception as exc:
             self.reload_failures += 1
             self.last_reload_error = str(exc)
@@ -889,13 +859,11 @@ class ServingSupervisor:
                 f"reload failed; previous menu retained: {exc}"
             ) from exc
         old_fingerprint = self.fingerprint
-        old_path, old_blocks = self._path, self._blocks
-        old_store = self._stores[-2] if len(self._stores) > 1 else None
-        new_store = self._stores[-1]
+        old_path = self._path
         # Point respawns at the new menu *before* rotating: a worker that
         # crashes mid-rotation comes back already on the new fingerprint
         # (one of the two valid ones), never on a third.
-        self._path, self._blocks = path, new_blocks
+        self._path = path
         self.fingerprint = new_state.fingerprint
         rotated: list[WorkerHandle] = []
         try:
@@ -905,21 +873,18 @@ class ServingSupervisor:
                 if handle.fingerprint == new_state.fingerprint:
                     rotated.append(handle)
                     continue
-                await self._rotate_worker(handle, path, new_blocks, new_state.fingerprint)
+                await self._rotate_worker(handle, path, new_state.fingerprint)
                 rotated.append(handle)
         except BaseException as exc:
             # Roll back: restore the old menu for respawns and rotate the
             # already-swapped workers back (best effort).
-            self._path, self._blocks = old_path, old_blocks
+            self._path = old_path
             self.fingerprint = old_fingerprint
             for handle in rotated:
                 try:
-                    await self._rotate_worker(
-                        handle, old_path, old_blocks, old_fingerprint
-                    )
+                    await self._rotate_worker(handle, old_path, old_fingerprint)
                 except Exception:  # pragma: no cover - double fault
                     pass
-            self._retire_store(new_store)
             self.reload_failures += 1
             self.last_reload_error = str(exc)
             # Wrap rotation ReloadErrors too: whether a worker killed
@@ -928,11 +893,6 @@ class ServingSupervisor:
             raise ReloadError(
                 f"rolling reload failed; previous menu restored: {exc}"
             ) from exc
-        if old_store is not None:
-            # Every worker is off the old blocks (their mappings survive
-            # the unlink until they detach, so even a stale in-flight
-            # batch stays safe).
-            self._retire_store(old_store)
         self.reloads += 1
         self.last_reload_error = None
         return old_fingerprint, new_state.fingerprint
@@ -1047,7 +1007,7 @@ class ServingSupervisor:
                 self._reload_target = None
 
     async def _rotate_worker(
-        self, handle: WorkerHandle, path: str, blocks, expected: str
+        self, handle: WorkerHandle, path: str, expected: str
     ) -> None:
         """Swap one worker's state and verify its fingerprint over HTTP."""
         others = [
@@ -1061,9 +1021,13 @@ class ServingSupervisor:
             reply = asyncio.get_running_loop().create_future()
             handle.reload_reply = reply
             try:
-                handle.conn.send(("reload", path, blocks))
+                handle.conn.send(("reload", path))
             except (BrokenPipeError, OSError, AttributeError) as exc:
                 handle.reload_reply = None
+                # A broken pipe means the worker is gone.  Retire the slot
+                # now: left "ready" until the next tick, it would look whole
+                # to anyone checking the fleet right after this reload fails.
+                self._respawn_crashed(handle)
                 raise ReloadError(
                     f"worker {handle.index} unreachable for reload: {exc}"
                 ) from exc

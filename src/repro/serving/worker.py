@@ -1,9 +1,7 @@
 """One fleet worker: a warm :class:`QuoteServer` process under supervision.
 
 A worker is spawned by :class:`~repro.serving.supervisor.ServingSupervisor`
-with a solution path, an optional :class:`~repro.core.shm.SharedServingBlocks`
-handle bundle (menu arrays published once by the supervisor — N workers,
-one resident copy), and its end of a duplex pipe.  It
+with a solution path and its end of a duplex pipe.  It
 
 * loads the solution and builds a :class:`CrashableServingState` (a
   :class:`~repro.serving.state.ServingState` whose batch pricing consults
@@ -15,15 +13,15 @@ one resident copy), and its end of a duplex pipe.  It
 * heartbeats up the pipe every ``heartbeat_interval`` seconds (the
   ``heartbeat`` fault site silences them *permanently* once it fires, so
   the supervisor's timeout path is testable),
-* executes pipe commands: ``("reload", path, blocks)`` swaps the serving
+* executes pipe commands: ``("reload", path)`` swaps the serving
   state (answering ``reloaded`` / ``reload_failed``), ``("stop",)`` exits
   fast, ``("drain",)`` finishes in-flight work first, and
 * drains on SIGTERM like the standalone server.
 
 Quotes served by a worker are priced by the same :class:`ServingState`
-arithmetic as the single-process server — shared menu blocks hold the
-same bits as private copies — so fleet responses stay bit-identical to
-cold ``solution.quote()``.
+arithmetic as the single-process server, built from the same saved
+artifact, so fleet responses stay bit-identical to cold
+``solution.quote()``.
 
 The ``worker_spawn`` fault site fires here, before anything is built: the
 process exits with code 1 as if its interpreter had failed to come up,
@@ -50,11 +48,11 @@ DEFAULT_HEARTBEAT_INTERVAL = 0.25
 class CrashableServingState(ServingState):
     """A serving state whose batch pricing consults ``worker_crash``.
 
-    The fleet shares the scan executor's ``worker_crash`` site: when the
-    rule fires (inside a worker process only — never the supervisor), the
-    process SIGKILLs itself *before* pricing the batch, so no partially
-    priced response can ever escape.  The supervisor must then retry the
-    batch's requests on a sibling and respawn this worker.
+    When the ``worker_crash`` rule fires (inside a worker process only —
+    never the supervisor), the process SIGKILLs itself *before* pricing
+    the batch, so no partially priced response can ever escape.  The
+    supervisor must then retry the batch's requests on a sibling and
+    respawn this worker.
     """
 
     def quote_batch(self, blocks):
@@ -63,14 +61,14 @@ class CrashableServingState(ServingState):
         return super().quote_batch(blocks)
 
 
-def _build_state(path, blocks) -> CrashableServingState:
-    """Load the solution at *path* and attach the shared menu blocks."""
+def _build_state(path) -> CrashableServingState:
+    """Load the solution at *path* and precompute its serving state."""
     from repro.api.solution import BundlingSolution
 
-    return CrashableServingState(BundlingSolution.load(path), shared=blocks)
+    return CrashableServingState(BundlingSolution.load(path))
 
 
-def worker_main(index: int, path, blocks, conn, options: dict) -> None:
+def worker_main(index: int, path, conn, options: dict) -> None:
     """Spawn entrypoint (must stay importable as ``repro.serving.worker``).
 
     *options* carries the server knobs (``deadline``, ``queue_depth``,
@@ -90,7 +88,7 @@ def worker_main(index: int, path, blocks, conn, options: dict) -> None:
         # processes would interleave within a line otherwise.
         obs.enable_tracing(sink_path=f"{trace_log}.worker{index}")
     try:
-        state = _build_state(path, blocks)
+        state = _build_state(path)
     except BaseException as exc:
         try:
             conn.send(("spawn_failed", index, f"{type(exc).__name__}: {exc}"))
@@ -174,10 +172,10 @@ async def _run(index: int, state: ServingState, conn, options: dict) -> int:
             message = await commands.get()
             kind = message[0]
             if kind == "reload":
-                _, new_path, new_blocks = message
+                _, new_path = message
                 try:
                     new_state = await loop.run_in_executor(
-                        None, _build_state, new_path, new_blocks
+                        None, _build_state, new_path
                     )
                     previous, current = await server.reload(new_state)
                 except BaseException as exc:

@@ -12,22 +12,6 @@ from repro.data.synthetic import amazon_books_like
 from repro.data.wtp_mapping import wtp_from_ratings
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _no_leaked_shared_blocks():
-    """Fail the module if it leaks shared-memory blocks.
-
-    Every allocation path is expected to release through the store context
-    or the reaper; a non-empty ledger after a module means some test (or
-    the code it drove) dropped a block — exactly the leak ``shm-audit``
-    exists to mop up in production, so catch it here first.
-    """
-    from repro.core.shm import active_shared_blocks
-
-    yield
-    leaked = sorted(active_shared_blocks())
-    assert not leaked, f"shared-memory blocks leaked: {leaked}"
-
-
 @pytest.fixture(autouse=True)
 def _reset_observability():
     """Metrics/tracing are process-global opt-ins; never leak across tests."""

@@ -19,6 +19,7 @@ from repro.api import (
     BundlingSolution,
     BundlingSolver,
     EngineConfig,
+    FitCheckpoint,
     QuoteResult,
 )
 from repro.core.adoption import SigmoidAdoption, StepAdoption
@@ -26,7 +27,7 @@ from repro.core.configuration import MixedConfiguration, PureConfiguration
 from repro.core.revenue import RevenueEngine
 from repro.data.synthetic import amazon_books_like
 from repro.data.wtp_mapping import wtp_from_ratings
-from repro.errors import PricingError, ReproError, ValidationError
+from repro.errors import CheckpointError, PricingError, ReproError, ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +114,16 @@ class TestEngineConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError, match="bogus"):
             EngineConfig.from_dict({"bogus": 1})
+
+    @pytest.mark.parametrize("option", [{"executor": "thread"}, {"retry": None}])
+    def test_executor_and_retry_are_not_options(self, wtp, option):
+        """``n_workers`` alone picks threads or the in-order loop."""
+        with pytest.raises(TypeError):
+            EngineConfig(**option)
+        with pytest.raises(TypeError):
+            RevenueEngine(wtp, **option)
+        with pytest.raises(ValidationError, match=next(iter(option))):
+            EngineConfig.from_dict({**EngineConfig().to_dict(), **option})
 
     def test_sorted_kernel_needs_deterministic_adoption(self):
         with pytest.raises(ReproError):
@@ -300,6 +311,24 @@ class TestSolutionPayloadValidation:
         payload["format_version"] = 99
         with pytest.raises(ValidationError, match="format_version"):
             BundlingSolution.from_dict(payload)
+
+    def test_v1_solution_and_checkpoint_rejected(self, wtp, tmp_path):
+        """Format 1 carried ``executor``/``retry`` in ``engine_config``; it
+        fails on its version, never as an unknown key or a tampered
+        fingerprint."""
+        ckpt = tmp_path / "fit.ckpt.json"
+        solution = BundlingSolver("pure_greedy").fit(wtp, checkpoint_path=ckpt)
+        payload = solution.to_dict()
+        payload["format_version"] = 1
+        payload["engine_config"].update(executor="thread", retry=None)
+        with pytest.raises(ValidationError, match="solution format_version 1"):
+            BundlingSolution.from_dict(payload)
+        payload = json.loads(ckpt.read_text())
+        payload["format_version"] = 1
+        payload["engine_config"].update(executor="thread", retry=None)
+        ckpt.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="checkpoint format_version 1"):
+            FitCheckpoint.load(ckpt)
 
     def test_strategy_configuration_mismatch(self, fitted):
         _, solution = fitted

@@ -72,40 +72,6 @@ class TestBundleCommand:
         with pytest.raises(SystemExit):
             main(["bundle", "--mixed-kernel", "fastest"])
 
-    def test_executor_flag_forwarded_and_validated(self, capsys, monkeypatch):
-        from repro.core.revenue import RevenueEngine
-
-        captured = {}
-        original = RevenueEngine.__init__
-
-        def spy(self, wtp, *args, **kwargs):
-            captured.update(kwargs)
-            return original(self, wtp, *args, **kwargs)
-
-        monkeypatch.setattr(RevenueEngine, "__init__", spy)
-        assert main(["bundle", "--algorithm", "components", "--users", "50",
-                     "--items", "8", "--executor", "serial"]) == 0
-        capsys.readouterr()
-        assert captured["executor"] == "serial"
-        with pytest.raises(SystemExit):
-            main(["bundle", "--executor", "fork"])
-
-    def test_process_executor_without_workers_warns(self, capsys):
-        assert main(["bundle", "--algorithm", "components", "--users", "50",
-                     "--items", "8", "--executor", "process"]) == 0
-        captured = capsys.readouterr()
-        assert "--n-workers >= 2" in captured.err
-
-    def test_serial_executor_run_matches_default(self, capsys):
-        outputs = []
-        for extra in ([], ["--executor", "serial"]):
-            assert main(["bundle", "--algorithm", "pure_matching", "--users", "80",
-                         "--items", "12", "--seed", "3",
-                         "--chunk-elements", "400", *extra]) == 0
-            out = capsys.readouterr().out
-            outputs.append([l for l in out.splitlines() if "wall time" not in l])
-        assert outputs[0] == outputs[1]
-
     def test_sorted_kernel_run_close_to_band(self, capsys):
         revenues = []
         for kernel in ("band", "sorted"):

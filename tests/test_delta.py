@@ -132,18 +132,14 @@ class TestEngineApplyDelta:
         "config",
         [
             EngineConfig(),
-            EngineConfig(executor="serial"),
-            EngineConfig(executor="thread", n_workers=2),
-            EngineConfig(executor="process", n_workers=2),
+            EngineConfig(n_workers=2),
             EngineConfig(precision="float32"),
             EngineConfig(storage="sparse"),
             EngineConfig(state_dtype="float32"),
         ],
         ids=[
             "default",
-            "serial",
             "thread-w2",
-            "process-w2",
             "float32",
             "sparse",
             "state-float32",

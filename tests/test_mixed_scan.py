@@ -14,8 +14,8 @@ Three contracts are pinned here:
 * **cache-sized memory** — a streamed scan's peak allocation is bounded by
   :data:`~repro.core.kernels.SCAN_BLOCK_ELEMENTS`, not by
   ``chunk_elements``, and its result does not depend on either;
-* **column-major blocks** — every executor hands ``fill_pair`` contiguous
-  columns of Fortran-ordered buffers.
+* **column-major blocks** — in-order and threaded scans hand ``fill_pair``
+  contiguous columns of Fortran-ordered buffers.
 """
 
 import tracemalloc
@@ -28,11 +28,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro import obs
 from repro.core.adoption import StepAdoption
-from repro.core.kernels import (
-    SCAN_BLOCK_ELEMENTS,
-    _mixed_chunk_subset,
-    stream_mixed_merges,
-)
+from repro.core.kernels import SCAN_BLOCK_ELEMENTS, stream_mixed_merges
 from repro.core.pricing import (
     DEFAULT_CHUNK_ELEMENTS,
     LEVEL_RTOL,
@@ -429,7 +425,7 @@ def test_mixed_scan_span_reports_block_width():
 
 
 def test_fill_columns_are_contiguous_on_every_executor():
-    """Serial, thread and process-worker scans fill column-major buffers."""
+    """In-order and threaded scans both fill column-major buffers."""
     layouts = []
 
     def fill_pair(k, wtp_col, score_col, pay_col):
@@ -440,7 +436,7 @@ def test_fill_columns_are_contiguous_on_every_executor():
         pay_col[:] = 2.0
         return 3.0, 9.0
 
-    for executor, workers in (("serial", 1), ("thread", 2)):
+    for workers in (1, 2):
         stream_mixed_merges(
             fill_pair,
             40,
@@ -450,17 +446,5 @@ def test_fill_columns_are_contiguous_on_every_executor():
             chunk_elements=15000,
             n_workers=workers,
             mixed_kernel="sorted",
-            executor=executor,
         )
-    # The process executor's worker body, run in-process.
-    _mixed_chunk_subset(
-        fill_pair,
-        [(0, 10), (10, 13)],
-        500,
-        10,
-        StepAdoption(),
-        PriceGrid(),
-        None,
-        price_mixed_bundle_batch_sorted,
-    )
     assert layouts and all(layouts)

@@ -1,6 +1,6 @@
 """Parallel streaming, deterministic summation, and column streaming.
 
-Four invariants from the parallel-kernels PR are pinned here:
+Four invariants are pinned here:
 
 * **parallel == serial** — fanning the chunk schedule out over worker
   threads must be *bit-identical* to the serial scan, for every adoption
@@ -31,6 +31,7 @@ from repro.algorithms.setpacking import enumerate_bundle_revenues
 from repro.core.adoption import SigmoidAdoption, StepAdoption
 from repro.core.bundle import Bundle
 from repro.core.choice import SubtreeState
+from repro.core import faults
 from repro.core.kernels import check_n_workers, run_chunks
 from repro.core.pricing import PriceGrid, tree_sum
 from repro.core.revenue import RevenueEngine
@@ -97,6 +98,21 @@ class TestRunChunks:
 
         run_chunks([(i, i + 1) for i in range(16)], make_buffers, lambda *a: None, 4)
         assert len(allocated) == 4
+
+    def test_workers_capped_at_chunk_count(self, monkeypatch):
+        """More workers than chunks never starts idle threads; one chunk
+        runs in order without ever consulting the thread pool."""
+        allocated = []
+
+        def make_buffers():
+            allocated.append(object())
+            return (allocated[-1],)
+
+        run_chunks([(0, 1), (1, 2)], make_buffers, lambda *a: None, 8)
+        assert len(allocated) == 2
+        monkeypatch.setenv(faults.FAULT_ENV, "thread_pool:always")
+        run_chunks([(0, 1)], make_buffers, lambda *a: None, 8)
+        assert len(allocated) == 3
 
     @pytest.mark.parametrize("bad", [0, -1, 2.5, True, None])
     def test_rejects_bad_worker_counts(self, bad):

@@ -10,8 +10,8 @@ Three contracts are pinned here:
 * **cache-sized memory** — a streamed scan's peak allocation is bounded by
   :data:`~repro.core.kernels.SCAN_BLOCK_ELEMENTS`, not by
   ``chunk_elements``, and its result does not depend on either;
-* **column-major blocks** — every executor hands ``fill`` Fortran-ordered
-  blocks, so each candidate column is contiguous.
+* **column-major blocks** — in-order and threaded scans hand ``fill``
+  Fortran-ordered blocks, so each candidate column is contiguous.
 """
 
 import tracemalloc
@@ -25,11 +25,7 @@ from repro import obs
 from repro.algorithms.components import Components
 from repro.core.adoption import StepAdoption
 from repro.core.evaluation import expected_pure_revenue
-from repro.core.kernels import (
-    SCAN_BLOCK_ELEMENTS,
-    _pure_chunk_subset,
-    stream_pure_prices,
-)
+from repro.core.kernels import SCAN_BLOCK_ELEMENTS, stream_pure_prices
 from repro.core.pricing import DEFAULT_CHUNK_ELEMENTS, PriceGrid, price_pure_batch
 from repro.core.revenue import RevenueEngine
 from repro.core.wtp import WTPMatrix
@@ -242,14 +238,14 @@ def test_pure_scan_span_reports_block_width():
 
 
 def test_fill_blocks_are_column_major_on_every_executor():
-    """Serial, thread and process-worker scans all fill F-ordered blocks."""
+    """In-order and threaded scans both fill F-ordered blocks."""
     layouts = []
 
     def fill(block, start, stop):
         layouts.append(block.flags.f_contiguous)
         block[:] = np.arange(block.shape[0])[:, None] + start
 
-    for executor, workers in (("serial", 1), ("thread", 2)):
+    for workers in (1, 2):
         stream_pure_prices(
             fill,
             40,
@@ -258,10 +254,5 @@ def test_fill_blocks_are_column_major_on_every_executor():
             PriceGrid(),
             chunk_elements=5000,
             n_workers=workers,
-            executor=executor,
         )
-    # The process executor's worker body, run in-process.
-    _pure_chunk_subset(
-        fill, [(0, 10), (10, 13)], 500, 10, StepAdoption(), PriceGrid(), None
-    )
     assert layouts and all(layouts)

@@ -1,18 +1,14 @@
-"""Resilience under injected faults: retries, degradation, checkpoint/resume.
+"""Resilience under injected faults: degradation, checkpoint/resume, input.
 
 The correctness spine of every test here is the chunk-purity property the
 streaming kernels were built on: a chunk's result depends only on its
 inputs, and merged results go through fixed-tree sums — so *any* recovery
-path (pool rebuild, process → thread → serial degradation, resume from a
-checkpoint) must finish **bit-identical** to the serial scan.  The suite
-pins exactly that:
+path (thread → serial fallback, resume from a checkpoint) must finish
+**bit-identical** to the serial scan.  The suite pins exactly that:
 
-* a SIGKILLed worker mid-scan is retried on a rebuilt pool with no result
-  drift and no degradation;
-* shared-memory exhaustion, scan timeouts, and thread-pool failures degrade
-  down the executor ladder with a structured
-  :class:`DegradedExecutionWarning` — or raise their typed error when
-  degradation is disabled;
+* a thread pool that cannot start degrades the scan to the in-order loop
+  with a structured :class:`DegradedExecutionWarning`, for a single scan
+  and for a whole mixed fit;
 * a fit SIGKILLed after a checkpoint resumes to a solution whose canonical
   JSON is hex-for-hex identical to the uninterrupted fit's (pinned via
   :meth:`BundlingSolution.fingerprint` for all four paper methods);
@@ -20,17 +16,14 @@ pins exactly that:
   ``fit`` and ``quote``.
 
 Faults are injected through :mod:`repro.core.faults`
-(``REPRO_FAULT_INJECT``); the CI ``chaos`` job runs this file on a
-multi-core runner where the process-pool paths are real.
+(``REPRO_FAULT_INJECT``); the CI ``chaos`` job runs this file.
 """
 
 from __future__ import annotations
 
-import json
 import signal
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -48,14 +41,7 @@ from repro.api import (
 )
 from repro.core import faults
 from repro.core.revenue import RevenueEngine
-from repro.core.shm import BLOCK_PREFIX, SHM_DIR, active_shared_blocks
-from repro.errors import (
-    CheckpointError,
-    ExecutorError,
-    ScanTimeoutError,
-    SharedMemoryError,
-    ValidationError,
-)
+from repro.errors import CheckpointError, ExecutorError, ValidationError
 
 from test_kernels import random_wtp
 
@@ -108,7 +94,6 @@ class TestRetryPolicy:
     def test_defaults(self):
         policy = RetryPolicy()
         assert policy.max_attempts == 3
-        assert policy.scan_timeout is None
         assert policy.degrade is True
 
     def test_backoff_schedule(self):
@@ -124,8 +109,8 @@ class TestRetryPolicy:
             {"backoff": -1.0},
             {"backoff": float("nan")},
             {"backoff_factor": 0.0},
-            {"scan_timeout": 0.0},
-            {"scan_timeout": -2.0},
+            {"backoff_factor": 0.5},
+            {"degrade": "yes"},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -133,34 +118,21 @@ class TestRetryPolicy:
             RetryPolicy(**kwargs)
 
     def test_dict_round_trip(self):
-        policy = RetryPolicy(max_attempts=5, backoff=0.2, scan_timeout=30.0)
+        policy = RetryPolicy(max_attempts=5, backoff=0.2, degrade=False)
         assert RetryPolicy.from_dict(policy.to_dict()) == policy
         with pytest.raises(ValidationError):
             RetryPolicy.from_dict({"max_attempts": 2, "bogus": 1})
-
-    def test_engine_config_round_trip(self):
-        config = EngineConfig(retry=RetryPolicy(max_attempts=5, degrade=False))
-        rebuilt = EngineConfig.from_dict(json.loads(json.dumps(config.to_dict())))
-        assert rebuilt == config
-        assert rebuilt.retry.max_attempts == 5
-        default = EngineConfig()
-        assert default.retry is None
-        assert EngineConfig.from_dict(default.to_dict()).retry is None
-
-    def test_engine_config_coerces_dict(self):
-        config = EngineConfig(retry={"max_attempts": 4})
-        assert isinstance(config.retry, RetryPolicy)
-        with pytest.raises(ValidationError):
-            EngineConfig(retry="fast")
+        with pytest.raises(ValidationError, match="scan_timeout"):
+            RetryPolicy.from_dict({"scan_timeout": 30.0})
 
 
 # ------------------------------------------------------------- fault grammar
 class TestFaultSpec:
     def test_modes_parse(self):
         rules = faults.parse_fault_spec(
-            "worker_crash:0.5,shm_alloc:once,chunk_timeout:3,fit_crash:always"
+            "worker_crash:0.5,thread_pool:once,slow_client:3,fit_crash:always"
         )
-        assert set(rules) == {"worker_crash", "shm_alloc", "chunk_timeout", "fit_crash"}
+        assert set(rules) == {"worker_crash", "thread_pool", "slow_client", "fit_crash"}
 
     @pytest.mark.parametrize("spec", ["a:once,a:once", "worker_crash", "x:", ":once"])
     def test_malformed_specs_rejected(self, spec):
@@ -168,135 +140,54 @@ class TestFaultSpec:
             faults.parse_fault_spec(spec)
 
     def test_once_fires_once(self, monkeypatch):
-        monkeypatch.setenv(faults.FAULT_ENV, "shm_alloc:once")
+        monkeypatch.setenv(faults.FAULT_ENV, "thread_pool:once")
         faults.reset()
-        assert faults.fire("shm_alloc") is not None
-        assert faults.fire("shm_alloc") is None
+        assert faults.fire("thread_pool") is not None
+        assert faults.fire("thread_pool") is None
         assert faults.fire("worker_crash") is None
 
     def test_value_mode_returns_value(self, monkeypatch):
-        monkeypatch.setenv(faults.FAULT_ENV, "chunk_timeout:3")
+        monkeypatch.setenv(faults.FAULT_ENV, "slow_client:3")
         faults.reset()
-        assert faults.fire("chunk_timeout") == pytest.approx(3.0)
-        assert faults.fire("chunk_timeout") == pytest.approx(3.0)
+        assert faults.fire("slow_client") == pytest.approx(3.0)
+        assert faults.fire("slow_client") == pytest.approx(3.0)
 
 
-# ------------------------------------------------------- process-scan faults
-class TestProcessScanRecovery:
-    def test_worker_crash_retried_without_degradation(
-        self, chaos_wtp, tmp_path, monkeypatch
-    ):
-        """A SIGKILLed worker is retried on a rebuilt pool, bit-identically.
-
-        The latch file makes the crash fire exactly once across all worker
-        processes, so the retry must succeed — any degradation warning
-        means the ladder engaged when plain retry should have sufficed.
-        """
-        serial = pure_scan(chaos_wtp)
-        latch = tmp_path / "crash.latch"
-        monkeypatch.setenv(faults.FAULT_ENV, f"worker_crash:latch:{latch}")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DegradedExecutionWarning)
-            recovered = pure_scan(chaos_wtp, n_workers=2, executor="process")
-        assert latch.exists(), "the injected crash never fired"
-        assert_same_scan(serial, recovered)
-        assert active_shared_blocks() == frozenset()
-
-    def test_persistent_crashes_exhaust_retries(self, chaos_wtp, monkeypatch):
-        monkeypatch.setenv(faults.FAULT_ENV, "worker_crash:always")
-        with pytest.raises(ExecutorError):
-            pure_scan(
-                chaos_wtp,
-                n_workers=2,
-                executor="process",
-                retry=RetryPolicy(max_attempts=2, backoff=0.0, degrade=False),
-            )
-        assert active_shared_blocks() == frozenset()
-
-    def test_persistent_crashes_degrade_to_thread(self, chaos_wtp, monkeypatch):
-        serial = pure_scan(chaos_wtp)
-        monkeypatch.setenv(faults.FAULT_ENV, "worker_crash:always")
-        with pytest.warns(DegradedExecutionWarning):
-            degraded = pure_scan(
-                chaos_wtp,
-                n_workers=2,
-                executor="process",
-                retry=RetryPolicy(max_attempts=2, backoff=0.0),
-            )
-        assert_same_scan(serial, degraded)
-
-    def test_shm_exhaustion_degrades_to_thread(self, chaos_wtp, monkeypatch):
-        serial = pure_scan(chaos_wtp)
-        monkeypatch.setenv(faults.FAULT_ENV, "shm_alloc:once")
-        with pytest.warns(DegradedExecutionWarning) as caught:
-            degraded = pure_scan(chaos_wtp, n_workers=2, executor="process")
-        assert_same_scan(serial, degraded)
-        warning = caught[0].message
-        assert warning.from_executor == "process"
-        assert isinstance(warning.cause, SharedMemoryError)
-
-    def test_scan_timeout_raises_when_degradation_disabled(
-        self, chaos_wtp, monkeypatch
-    ):
-        monkeypatch.setenv(faults.FAULT_ENV, "chunk_timeout:5")
-        with pytest.raises(ScanTimeoutError):
-            pure_scan(
-                chaos_wtp,
-                n_workers=2,
-                executor="process",
-                retry=RetryPolicy(scan_timeout=0.25, degrade=False),
-            )
-        assert active_shared_blocks() == frozenset()
-
-    def test_scan_timeout_degrades_to_thread(self, chaos_wtp, monkeypatch):
-        """The injected sleep fires only in workers, so the thread rung —
-        which runs chunks in the parent — completes and matches serial."""
-        serial = pure_scan(chaos_wtp)
-        monkeypatch.setenv(faults.FAULT_ENV, "chunk_timeout:5")
-        with pytest.warns(DegradedExecutionWarning):
-            degraded = pure_scan(
-                chaos_wtp,
-                n_workers=2,
-                executor="process",
-                retry=RetryPolicy(scan_timeout=0.25),
-            )
-        assert_same_scan(serial, degraded)
-
+# ------------------------------------------------------- thread-scan faults
+class TestThreadScanFallback:
     def test_thread_pool_failure_degrades_to_serial(self, chaos_wtp, monkeypatch):
         serial = pure_scan(chaos_wtp)
         monkeypatch.setenv(faults.FAULT_ENV, "thread_pool:once")
         with pytest.warns(DegradedExecutionWarning) as caught:
-            degraded = pure_scan(chaos_wtp, n_workers=2, executor="thread")
+            degraded = pure_scan(chaos_wtp, n_workers=2)
         assert_same_scan(serial, degraded)
         assert caught[0].message.to_executor == "serial"
 
 
 # ----------------------------------------------------------- faulted full fit
 class TestFaultedFitParity:
-    def test_worker_crash_mixed_fit_matches_serial(
-        self, fit_values, tmp_path, monkeypatch
+    def test_thread_pool_failure_mixed_fit_matches_serial(
+        self, fit_values, monkeypatch
     ):
-        """Acceptance pin: a 4-worker process-executor mixed fit survives a
-        worker SIGKILL and lands bit-identical to the serial fit — offers,
-        prices, metrics, and per-iteration trace revenues."""
+        """A 4-worker mixed fit whose thread pools never start falls back
+        on every pure and mixed scan and lands bit-identical to the serial
+        fit — offers, prices, metrics, and per-iteration trace revenues."""
         values, _ = fit_values
         serial = BundlingSolver(
-            "mixed_matching", EngineConfig(executor="serial", chunk_elements=256)
+            "mixed_matching", EngineConfig(chunk_elements=256)
         ).fit(values)
-        latch = tmp_path / "crash.latch"
-        monkeypatch.setenv(faults.FAULT_ENV, f"worker_crash:latch:{latch}")
-        faulted = BundlingSolver(
-            "mixed_matching",
-            EngineConfig(executor="process", n_workers=4, chunk_elements=256),
-        ).fit(values)
-        assert latch.exists(), "the injected crash never fired"
+        monkeypatch.setenv(faults.FAULT_ENV, "thread_pool:always")
+        with pytest.warns(DegradedExecutionWarning) as caught:
+            faulted = BundlingSolver(
+                "mixed_matching", EngineConfig(n_workers=4, chunk_elements=256)
+            ).fit(values)
+        assert {w.message.scan for w in caught} == {"pure-scan", "mixed-scan"}
         expected, actual = serial.to_dict(), faulted.to_dict()
         assert actual["offers"] == expected["offers"]
         assert actual["metrics"] == expected["metrics"]
         assert [r["revenue"] for r in actual["trace"]] == [
             r["revenue"] for r in expected["trace"]
         ]
-        assert active_shared_blocks() == frozenset()
 
 
 # --------------------------------------------------------- checkpoint/resume
@@ -445,28 +336,8 @@ class TestInputHardening:
 class TestResilienceCLI:
     def test_exit_code_mapping(self):
         assert _exit_code(ExecutorError("x")) == 3
-        assert _exit_code(ScanTimeoutError("x")) == 4
-        assert _exit_code(SharedMemoryError("x")) == 5
         assert _exit_code(CheckpointError("x")) == 6
         assert _exit_code(ValidationError("x")) == 2
-
-    def test_shm_audit_empty(self, capsys):
-        assert cli_main(["shm-audit"]) == 0
-        assert "no orphaned" in capsys.readouterr().out
-
-    @pytest.mark.skipif(not SHM_DIR.is_dir(), reason="platform has no /dev/shm")
-    def test_shm_audit_lists_and_reaps_orphans(self, capsys):
-        orphan = SHM_DIR / (BLOCK_PREFIX + "test-orphan-block")
-        orphan.write_bytes(b"\0" * 64)
-        try:
-            assert cli_main(["shm-audit"]) == 0
-            assert orphan.name in capsys.readouterr().out
-            assert cli_main(["shm-audit", "--reap"]) == 0
-            out = capsys.readouterr().out
-            assert "reaped 1" in out
-            assert not orphan.exists()
-        finally:
-            orphan.unlink(missing_ok=True)
 
     def test_resume_requires_checkpoint_flag(self, capsys):
         assert cli_main(["bundle", "--users", "40", "--items", "8", "--resume"]) == 2

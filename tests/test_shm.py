@@ -1,341 +1,40 @@
-"""Shared-memory staging, executor parity, and buffer-lifetime tests.
+"""Scan-side resources: per-worker fill buffers and the executor surface.
 
-Four invariants from the process-parallel kernels PR are pinned here:
+Pair scans run in order or on threads, each worker filling its own buffer
+set; nothing is staged in shared memory.  Two invariants are pinned here:
 
-* **no leaked segments** — every shared block a scan stages is unlinked on
-  normal exit *and* when a worker raises mid-scan (the
-  ``SharedWTPStore`` context owns block lifetime; ``active_shared_blocks``
-  is the process-local ledger the assertions read);
-* **process == thread == serial** — the three executors run the *same*
-  chunk schedule with the same per-chunk arithmetic, so results are
-  bit-identical for every ``chunk_elements``/``n_workers`` combination,
-  float32-stored subtree states included;
-* **configs round-trip** — ``EngineConfig.executor`` validates, serializes,
-  and survives ``from_engine``/``build``;
 * **thread buffers are released** — a scan that raises must not leave
   per-worker fill buffers pinned by the propagated exception's traceback
-  (the regression fixed in this PR: back-to-back failed scans at
-  float32-state scale held double RSS).
+  (back-to-back failed scans at float32-state scale would hold double
+  RSS);
+* **there is no executor option** — ``n_workers`` alone picks threads or
+  the in-order loop, so neither ``RevenueEngine`` nor ``EngineConfig``
+  accepts an ``executor`` argument.
 """
 
 import gc
-import pickle
 import weakref
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
-from repro.algorithms.greedy import GreedyMerge
-from repro.algorithms.matching_iterative import IterativeMatching
 from repro.api import EngineConfig
-from repro.core.adoption import SigmoidAdoption, StepAdoption
-from repro.core.kernels import (
-    _resolve_execution,
-    check_executor,
-    run_chunks,
-    stream_pure_prices,
-)
-from repro.core.pricing import PriceGrid
+from repro.core.kernels import run_chunks
 from repro.core.revenue import RevenueEngine
-from repro.core.shm import (
-    SharedArrayView,
-    SharedPairFill,
-    SharedWTPStore,
-    active_shared_blocks,
-)
-from repro.errors import ValidationError
 
 
-class BoomFill(SharedPairFill):
-    """Picklable fill that crashes partway through the chunk schedule."""
-
-    def __call__(self, block, start, stop):
-        if start >= 4:
-            raise RuntimeError("boom")
-        super().__call__(block, start, stop)
-
-
-def make_rows(n_rows=10, n_users=200, seed=3):
-    rng = np.random.default_rng(seed)
-    return rng.uniform(0.0, 10.0, size=(n_rows, n_users))
-
-
-def all_pairs(n):
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-# ------------------------------------------------------------- SharedArrayView
-class TestSharedArrayView:
-    def test_pickle_carries_only_the_descriptor(self):
-        with SharedWTPStore() as store:
-            view = store.put("rows", make_rows())
-            clone = pickle.loads(pickle.dumps(view))
-            assert (clone.name, clone.shape, clone.dtype) == (
-                view.name,
-                view.shape,
-                view.dtype,
-            )
-            np.testing.assert_array_equal(clone.open(), make_rows())
-            clone.close()
-
-    def test_open_is_cached_and_close_detaches(self):
-        with SharedWTPStore() as store:
-            view = store.put("rows", make_rows())
-            attached = SharedArrayView(view.name, view.shape, view.dtype)
-            assert attached.open() is attached.open()
-            attached.close()
-            attached.close()  # idempotent
-            np.testing.assert_array_equal(attached.open(), make_rows())
-            attached.close()
-
-
-# -------------------------------------------------------------- SharedWTPStore
-class TestSharedWTPStore:
-    def test_put_and_put_rows_round_trip(self):
-        rows = make_rows()
-        with SharedWTPStore() as store:
-            whole = store.put("whole", rows)
-            stacked = store.put_rows("stacked", list(rows.astype(np.float32)))
-            np.testing.assert_array_equal(whole.open(), rows)
-            assert stacked.open().dtype == np.float32
-            np.testing.assert_array_equal(stacked.open(), rows.astype(np.float32))
-
-    def test_rejects_duplicate_keys_empty_rows_and_closed_stores(self):
-        store = SharedWTPStore()
-        try:
-            store.put("rows", make_rows())
-            with pytest.raises(ValidationError):
-                store.put("rows", make_rows())
-            with pytest.raises(ValidationError):
-                store.put_rows("empty", [])
-        finally:
-            store.close()
-        with pytest.raises(ValidationError):
-            store.put("late", make_rows())
-
-    def test_blocks_unlinked_on_normal_exit(self):
-        with SharedWTPStore() as store:
-            name = store.put("rows", make_rows()).name
-            assert name in active_shared_blocks()
-        assert name not in active_shared_blocks()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_blocks_unlinked_when_the_scan_body_raises(self):
-        with pytest.raises(RuntimeError, match="mid-scan"):
-            with SharedWTPStore() as store:
-                name = store.put("rows", make_rows()).name
-                raise RuntimeError("mid-scan")
-        assert name not in active_shared_blocks()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_close_is_idempotent(self):
-        store = SharedWTPStore()
-        store.put("rows", make_rows())
-        store.close()
-        store.close()
-        assert not active_shared_blocks()
-
-
-# ----------------------------------------------------- kernel-level executors
-class TestProcessKernelParity:
-    def run_scan(self, rows, pairs, chunk_elements, n_workers, executor):
-        n_users = rows.shape[1]
-        with SharedWTPStore() as store:
-            fill = SharedPairFill(
-                store.put_rows("raw", list(rows)),
-                np.array(pairs, dtype=np.intp),
-                1.25,
-            )
-            return stream_pure_prices(
-                fill,
-                len(pairs),
-                n_users,
-                StepAdoption(),
-                PriceGrid(),
-                chunk_elements=chunk_elements,
-                n_workers=n_workers,
-                executor=executor,
-            )
-
-    @pytest.mark.parametrize("chunk_elements", [400, None])
-    def test_process_bit_identical_to_serial_and_thread(self, chunk_elements):
-        rows = make_rows()
-        pairs = all_pairs(len(rows))
-        want = self.run_scan(rows, pairs, chunk_elements, 1, "serial")
-        threaded = self.run_scan(rows, pairs, chunk_elements, 2, "thread")
-        processed = self.run_scan(rows, pairs, chunk_elements, 2, "process")
-        for got in (threaded, processed):
-            for got_arr, want_arr in zip(got, want):
-                np.testing.assert_array_equal(got_arr, want_arr)
-        assert not active_shared_blocks()
-
-    def test_worker_exception_propagates_and_leaks_nothing(self):
-        rows = make_rows()
-        pairs = all_pairs(len(rows))
-        with pytest.raises(RuntimeError, match="boom"):
-            with SharedWTPStore() as store:
-                fill = BoomFill(
-                    store.put_rows("raw", list(rows)),
-                    np.array(pairs, dtype=np.intp),
-                    1.0,
-                )
-                stream_pure_prices(
-                    fill,
-                    len(pairs),
-                    rows.shape[1],
-                    StepAdoption(),
-                    PriceGrid(),
-                    chunk_elements=rows.shape[1] * 2,
-                    n_workers=2,
-                    executor="process",
-                )
-        assert not active_shared_blocks()
-
-    def test_serial_executor_pins_one_worker(self):
-        assert _resolve_execution("serial", 8, 23) == ("serial", 1)
-        assert _resolve_execution("process", 1, 23) == ("serial", 1)
-        assert _resolve_execution("process", 8, 1) == ("serial", 1)
-        assert _resolve_execution("thread", 4, 23) == ("thread", 4)
-        rows = make_rows()
-        pairs = all_pairs(len(rows))
-        want = self.run_scan(rows, pairs, 400, 1, "serial")
-        eight = self.run_scan(rows, pairs, 400, 8, "serial")
-        for got_arr, want_arr in zip(eight, want):
-            np.testing.assert_array_equal(got_arr, want_arr)
-
-    def test_executor_validation(self):
-        with pytest.raises(ValidationError):
-            check_executor("threads")
-        assert check_executor("process") == "process"
-
-    def test_start_method_override_is_validated(self, monkeypatch):
-        from repro.core.kernels import _START_METHOD_ENV, _mp_context
-
-        monkeypatch.setenv(_START_METHOD_ENV, "forkserver2")
-        with pytest.raises(ValidationError, match="forkserver2"):
-            _mp_context()
-        monkeypatch.setenv(_START_METHOD_ENV, "spawn")
-        assert _mp_context().get_start_method() == "spawn"
-
-
-# ------------------------------------------------------ engine-level executors
 class TestEngineProcessParity:
-    """serial / thread / process engines must be bit-identical everywhere."""
-
-    def engines(self, wtp, **kwargs):
-        chunk = wtp.n_users * 3  # several narrow chunks: every executor engages
-        serial = RevenueEngine(wtp, chunk_elements=chunk, executor="serial", **kwargs)
-        threaded = RevenueEngine(
-            wtp, chunk_elements=chunk, n_workers=2, executor="thread", **kwargs
-        )
-        processed = RevenueEngine(
-            wtp, chunk_elements=chunk, n_workers=2, executor="process", **kwargs
-        )
-        return serial, threaded, processed
-
-    def test_pure_merge_gains_identical(self, small_wtp):
-        serial, threaded, processed = self.engines(small_wtp)
-        pairs = all_pairs(small_wtp.n_items)
-        want, want_merged = serial.pure_merge_gains(serial.price_components(), pairs)
-        for engine in (threaded, processed):
-            got, got_merged = engine.pure_merge_gains(engine.price_components(), pairs)
-            np.testing.assert_array_equal(got, want)
-            for g, w in zip(got_merged, want_merged):
-                assert (g.price, g.revenue, g.buyers) == (w.price, w.revenue, w.buyers)
-        assert not active_shared_blocks()
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {},
-            {"state_dtype": "float32"},
-            # Sigmoid adoption resolves to the band kernel: the process
-            # path must be identical under both mixed kernels.
-            {"adoption": SigmoidAdoption(gamma=2.0)},
-        ],
-        ids=["step-sorted", "step-lean", "sigmoid-band"],
-    )
-    def test_mixed_merge_gains_identical(self, small_wtp, kwargs):
-        serial, threaded, processed = self.engines(small_wtp, **kwargs)
-        pairs = all_pairs(10)
-        results = []
-        for engine in (serial, threaded, processed):
-            singles = engine.price_components()
-            states = [engine.offer_state(offer) for offer in singles]
-            results.append(engine.mixed_merge_gains(singles, states, pairs))
-        for got in results[1:]:
-            for g, w in zip(got, results[0]):
-                assert (g.price, g.gain, g.upgraded, g.feasible) == (
-                    w.price,
-                    w.gain,
-                    w.upgraded,
-                    w.feasible,
-                )
-        assert not active_shared_blocks()
-
-    def test_full_fit_bit_identical(self, small_wtp):
-        chunk = small_wtp.n_users * 3
-        serial = IterativeMatching(strategy="mixed", max_iterations=2).fit(
-            RevenueEngine(small_wtp, chunk_elements=chunk)
-        )
-        processed = IterativeMatching(strategy="mixed", max_iterations=2).fit(
-            RevenueEngine(
-                small_wtp, chunk_elements=chunk, n_workers=2, executor="process"
-            )
-        )
-        assert processed.expected_revenue == serial.expected_revenue
-        want = sorted(
-            (tuple(o.bundle.items), o.price, o.revenue)
-            for o in serial.configuration.offers
-        )
-        got = sorted(
-            (tuple(o.bundle.items), o.price, o.revenue)
-            for o in processed.configuration.offers
-        )
-        assert got == want
-        assert not active_shared_blocks()
-
-    def test_single_worker_process_engine_degenerates_to_serial(self, small_wtp):
-        engine = RevenueEngine(small_wtp, executor="process")
-        assert engine._scan_executor() == "serial"
-        engine.n_workers = 2
-        assert engine._scan_executor() == "process"
-
-    def test_algorithm_override_restores_engine_executor(self, small_wtp):
-        engine = RevenueEngine(small_wtp, n_workers=2)
-        GreedyMerge(strategy="pure", executor="serial").fit(engine)
-        assert engine.executor == "thread"
-        with pytest.raises(ValidationError):
-            GreedyMerge(strategy="pure", executor="forkbomb")
+    """The engine has one thread-or-serial scan path, picked by ``n_workers``."""
 
     def test_engine_validates_executor(self, small_wtp):
-        with pytest.raises(ValidationError):
-            RevenueEngine(small_wtp, executor="gpu")
+        with pytest.raises(TypeError, match="executor"):
+            RevenueEngine(small_wtp, executor="process")
 
 
 # -------------------------------------------------------------- config surface
 class TestExecutorConfig:
-    def test_round_trip_and_build(self, small_wtp):
-        config = EngineConfig(executor="process", n_workers=2)
-        assert EngineConfig.from_dict(config.to_dict()) == config
-        engine = config.build(small_wtp)
-        assert engine.executor == "process"
-        captured = EngineConfig.from_engine(engine)
-        # from_engine records the resolved WTP/state backends explicitly;
-        # the executor settings must round-trip untouched.
-        assert (captured.executor, captured.n_workers) == ("process", 2)
-        assert captured.build(small_wtp).executor == "process"
-
-    def test_default_is_thread_and_old_payloads_load(self):
-        payload = EngineConfig().to_dict()
-        del payload["executor"]
-        assert EngineConfig.from_dict(payload).executor == "thread"
-
     def test_invalid_executor_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(TypeError, match="executor"):
             EngineConfig(executor="threads")
 
 

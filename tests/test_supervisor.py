@@ -7,10 +7,9 @@ respawn), circuit-breaker transitions (``route`` fault), and rolling
 zero-downtime reloads (never a 503, every response stamped by exactly one
 of the two valid fingerprints, the old one gone after rotation).
 
-Workers are real spawned processes; the menu-side arrays live in shared
-memory published once by the supervisor (the conftest leak check pins that
-every block is unlinked on stop).  No pytest-asyncio: each test drives its
-own event loop via ``asyncio.run``.
+Workers are real spawned processes, each building its serving state from
+the saved artifact path the supervisor hands it.  No pytest-asyncio: each
+test drives its own event loop via ``asyncio.run``.
 """
 
 from __future__ import annotations
@@ -89,6 +88,29 @@ async def _request(host, port, method, path, payload=None):
         return status, headers, json.loads(content) if content else None
     finally:
         writer.close()
+
+
+class _RecordingConn:
+    """A supervisor-side pipe end that records every message it sends."""
+
+    def __init__(self, conn, sent):
+        self._conn = conn
+        self._sent = sent
+
+    def send(self, message):
+        self._sent.append(message)
+        self._conn.send(message)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+def _record_reloads(fleet):
+    """The ``reload`` messages the fleet sends its workers from now on."""
+    sent = []
+    for handle in fleet.handles:
+        handle.conn = _RecordingConn(handle.conn, sent)
+    return sent
 
 
 def _assert_payload_identical(payload, cold):
@@ -285,6 +307,7 @@ class TestFleetServing:
         async def main():
             fleet = ServingSupervisor(first_path, workers=2)
             host, port = await fleet.start("127.0.0.1", 0)
+            sent = _record_reloads(fleet)
             observed = []
             stop_load = asyncio.Event()
 
@@ -311,12 +334,18 @@ class TestFleetServing:
                     )
                     for _ in range(4)
                 ]
-                return reload_reply, observed, after
+                return reload_reply, observed, after, sent, fleet.health()
             finally:
                 await fleet.stop()
 
-        (reload_status, _, reload_payload), observed, after = asyncio.run(main())
+        (reload_status, _, reload_payload), observed, after, sent, health = (
+            asyncio.run(main())
+        )
         assert reload_status == 200
+        # Every worker rebuilt its state from the artifact path alone and
+        # now serves the new fingerprint.
+        assert [m for m in sent if m[0] == "reload"] == [("reload", second_path)] * 2
+        assert [w["fingerprint"] for w in health["workers"]] == [new_fp] * 2
         assert reload_payload["previous_fingerprint"] == old_fp
         assert reload_payload["fingerprint"] == new_fp
         assert observed, "the load loop must have run during the reload"
@@ -598,6 +627,7 @@ class TestFleetRefit:
                 first_path, workers=2, population=str(population_path)
             )
             host, port = await fleet.start("127.0.0.1", 0)
+            sent = _record_reloads(fleet)
             try:
                 refitted = await _request(
                     host, port, "POST", "/refit",
@@ -609,11 +639,11 @@ class TestFleetRefit:
                     )
                     for _ in range(4)
                 ]
-                return refitted, quotes, fleet.health()
+                return refitted, quotes, fleet.health(), sent
             finally:
                 await fleet.stop()
 
-        refitted, quotes, health = asyncio.run(main())
+        refitted, quotes, health, sent = asyncio.run(main())
         # The same refit, cold, through the solver API directly.
         report = BundlingSolver(first.algorithm_spec, first.engine_config).refit(
             first, small_wtp, delta, drift_threshold=1e6
@@ -637,6 +667,9 @@ class TestFleetRefit:
             assert headers["x-solution-fingerprint"] == new_fp
             _assert_payload_identical(payload, cold)
         assert health["fingerprint"] == new_fp
+        reloads = [m for m in sent if m[0] == "reload"]
+        assert reloads == [("reload", refitted[2]["path"])] * 2
+        assert [w["fingerprint"] for w in health["workers"]] == [new_fp] * 2
         assert health["counters"]["refits"] == 1
         assert health["counters"]["refit_failures"] == 0
 
@@ -660,11 +693,11 @@ class TestFleetRefit:
         real_rotate = ServingSupervisor._rotate_worker
         killed = []
 
-        async def killer_rotate(self, handle, path, blocks, expected):
+        async def killer_rotate(self, handle, path, expected):
             if not killed:
                 killed.append(handle.process.pid)
                 os.kill(handle.process.pid, signal_module.SIGKILL)
-            return await real_rotate(self, handle, path, blocks, expected)
+            return await real_rotate(self, handle, path, expected)
 
         monkeypatch.setattr(ServingSupervisor, "_rotate_worker", killer_rotate)
 
