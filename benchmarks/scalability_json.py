@@ -18,8 +18,6 @@ Backends
     The streaming engine with ``n_workers=4``: chunks fan out over a
     thread pool (bit-identical to serial; wall-clock scales with *cores* —
     check ``platform.cpu_count`` in the report before reading the ratio).
-``streaming-float32`` / ``streaming-sparse``
-    The reduced-precision and CSC-sparse WTP storage backends.
 ``streaming-lean-mixed`` / ``streaming-lean-mixed-w4``
     ``state_dtype=float32`` with the **band** mixed kernel (pinned — these
     columns predate kernel selection and stay comparable to the committed
@@ -85,8 +83,6 @@ BACKENDS = {
     "unchunked-float64": EngineConfig(chunk_elements=None),
     "streaming-float64": EngineConfig(),
     "streaming-float64-w4": EngineConfig(n_workers=4),
-    "streaming-float32": EngineConfig(precision="float32"),
-    "streaming-sparse": EngineConfig(storage="sparse"),
     "streaming-lean-mixed": EngineConfig(state_dtype="float32", mixed_kernel="band"),
     "streaming-lean-mixed-w4": EngineConfig(
         state_dtype="float32", n_workers=4, mixed_kernel="band"
@@ -364,7 +360,7 @@ def main() -> None:
         "--backends",
         nargs="+",
         choices=sorted(BACKENDS),
-        default=["unchunked-float64", "streaming-float64", "streaming-float32", "streaming-sparse"],
+        default=["unchunked-float64", "streaming-float64"],
         help="backends for the pure matching cells",
     )
     parser.add_argument(

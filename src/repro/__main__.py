@@ -59,7 +59,7 @@ Examples
 
     python -m repro bundle --algorithm mixed_matching --users 400 --items 60
     python -m repro bundle --ratings r.csv --prices p.csv --algorithm pure_greedy
-    python -m repro bundle --storage sparse --precision float32 --n-workers 4
+    python -m repro bundle --n-workers 4
     python -m repro bundle --algorithm mixed_greedy --save-solution menu.json
     python -m repro bundle --checkpoint fit.ckpt --save-solution menu.json
     python -m repro bundle --checkpoint fit.ckpt --resume --save-solution menu.json
@@ -177,14 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "(algorithm and engine come from the checkpoint's provenance)",
     )
     backend = bundle.add_argument_group("engine backend")
-    backend.add_argument(
-        "--precision", choices=("float64", "float32"), default=None,
-        help="WTP storage dtype (float32 halves matrix memory)",
-    )
-    backend.add_argument(
-        "--storage", choices=("dense", "sparse"), default=None,
-        help="WTP storage backend (sparse = SciPy CSC)",
-    )
     backend.add_argument(
         "--chunk-elements", type=int, default=None, metavar="N",
         help="element budget per streaming buffer (0 = unchunked; "
@@ -354,10 +346,6 @@ def _load_dataset(args):
 def _engine_config(args) -> EngineConfig:
     """Typed engine config from the CLI backend flags."""
     config_kwargs = {"theta": args.theta, "n_workers": args.n_workers}
-    if args.precision is not None:
-        config_kwargs["precision"] = args.precision
-    if args.storage is not None:
-        config_kwargs["storage"] = args.storage
     if args.chunk_elements is not None:
         # 0 disables chunking (the engine's `None` convention).
         config_kwargs["chunk_elements"] = args.chunk_elements or None

@@ -13,10 +13,9 @@ values:
     Everything needed to (re)build a :class:`RevenueEngine` around a WTP
     matrix: the model parameters the paper sweeps (θ, the adoption model,
     the number of price levels) and the performance backends the streaming
-    kernels grew (precision, storage, chunk budget, workers, state dtype,
-    mixed kernel, raw-cache capacity).  Invalid combinations — e.g. the
-    sorted mixed kernel under sigmoid adoption — fail at construction, not
-    mid-scan.
+    kernels grew (chunk budget, workers, state dtype, mixed kernel,
+    raw-cache capacity).  Invalid combinations — e.g. the sorted mixed
+    kernel under sigmoid adoption — fail at construction, not mid-scan.
 
 :class:`AlgorithmSpec`
     A registry algorithm name plus its constructor kwargs, validated
@@ -64,7 +63,6 @@ from repro.utils.validation import (
 ADOPTION_KINDS = ("step", "sigmoid")
 
 _DTYPE_CHOICES = (None, "float64", "float32")
-_STORAGE_CHOICES = (None, "dense", "sparse")
 
 
 def _check_choice(value, choices, name: str):
@@ -176,10 +174,9 @@ class EngineConfig:
 
     Backend parameters (see :class:`RevenueEngine` for full semantics)
     ------------------------------------------------------------------
-    ``precision``/``storage`` override the WTP backend (``None`` keeps the
-    matrix as given); ``chunk_elements`` is the streaming buffers' memory
-    ceiling (both pair scans work in smaller cache-sized blocks below it;
-    ``None`` disables chunking); ``n_workers`` fans chunk scans out over
+    ``chunk_elements`` is the streaming buffers' memory ceiling (both pair
+    scans work in smaller cache-sized blocks below it; ``None`` disables
+    chunking); ``n_workers`` fans chunk scans out over
     that many threads (1, the default, runs them in order);
     ``state_dtype`` stores mixed-strategy subtree states in float32;
     ``mixed_kernel`` selects the mixed-merge pricing kernel;
@@ -192,8 +189,6 @@ class EngineConfig:
     theta: float = 0.0
     n_levels: int = DEFAULT_PRICE_LEVELS
     adoption: AdoptionSpec = field(default_factory=AdoptionSpec)
-    precision: str | None = None
-    storage: str | None = None
     chunk_elements: int | None = DEFAULT_CHUNK_ELEMENTS
     n_workers: int = 1
     state_dtype: str | None = None
@@ -217,8 +212,6 @@ class EngineConfig:
                 f"adoption must be an AdoptionSpec or dict, got {type(adoption).__name__}"
             )
         object.__setattr__(self, "adoption", adoption)
-        _check_choice(self.precision, _DTYPE_CHOICES, "precision")
-        _check_choice(self.storage, _STORAGE_CHOICES, "storage")
         _check_choice(self.state_dtype, _DTYPE_CHOICES, "state_dtype")
         object.__setattr__(
             self, "chunk_elements", check_chunk_elements(self.chunk_elements)
@@ -246,7 +239,8 @@ class EngineConfig:
         """A fresh engine for *wtp* under this configuration.
 
         ``wtp`` is anything :class:`~repro.core.wtp.WTPMatrix` accepts (an
-        existing matrix, a dense array, or a SciPy sparse matrix).
+        existing matrix, a dense array, or a SciPy sparse matrix, which is
+        densified).
         """
         return RevenueEngine(
             wtp,
@@ -254,8 +248,6 @@ class EngineConfig:
             adoption=self.adoption.build(),
             grid=PriceGrid(n_levels=self.n_levels),
             chunk_elements=self.chunk_elements,
-            precision=self.precision,
-            storage=self.storage,
             raw_cache_entries=self.raw_cache_entries,
             n_workers=self.n_workers,
             state_dtype=self.state_dtype,
@@ -268,9 +260,8 @@ class EngineConfig:
         """Capture a live engine's configuration (inverse of :meth:`build`).
 
         Only engines the config schema can describe are capturable: a
-        linspace price grid and no generalized objective.  The WTP backend
-        is recorded explicitly, so rebuilding against the same matrix
-        reproduces the engine exactly.
+        linspace price grid and no generalized objective.  Rebuilding
+        against the same matrix reproduces the engine exactly.
         """
         if engine.grid.mode != "linspace":
             raise ValidationError(
@@ -290,8 +281,6 @@ class EngineConfig:
             theta=engine.theta,
             n_levels=engine.grid.n_levels,
             adoption=AdoptionSpec.from_model(engine.adoption),
-            precision=engine.wtp.dtype.name,
-            storage=engine.wtp.storage,
             chunk_elements=engine.chunk_elements,
             n_workers=engine.n_workers,
             state_dtype=engine.state_dtype.name,
@@ -306,8 +295,6 @@ class EngineConfig:
             "theta": self.theta,
             "n_levels": self.n_levels,
             "adoption": self.adoption.to_dict(),
-            "precision": self.precision,
-            "storage": self.storage,
             "chunk_elements": self.chunk_elements,
             "n_workers": self.n_workers,
             "state_dtype": self.state_dtype,

@@ -442,12 +442,10 @@ class BundlingSolver:
         config = self.engine_config
         captured = EngineConfig.from_engine(engine)  # raises for exotic engines
         default_cache = default_raw_cache_entries(engine.n_items)
-        # None wildcards ("keep the matrix as given", engine-side cache
-        # default) are satisfied by whatever the engine carries.
+        # None wildcards (engine-side defaults) are satisfied by whatever
+        # the engine carries.
         normalized = replace(
             config,
-            precision=captured.precision if config.precision is None else config.precision,
-            storage=captured.storage if config.storage is None else config.storage,
             state_dtype=config.state_dtype or "float64",
             raw_cache_entries=config.raw_cache_entries or default_cache,
         )

@@ -110,12 +110,12 @@ class PopulationDelta:
         return self
 
     def apply(self, wtp: WTPMatrix) -> WTPMatrix:
-        """The post-delta population (same storage backend as *wtp*)."""
+        """The post-delta population."""
         self.check(wtp.n_users, wtp.n_items)
         return wtp.apply_delta(self.removed, self.added if self.n_added else None)
 
     def added_matrix(self, like: WTPMatrix) -> WTPMatrix | None:
-        """The added rows as a matrix in *like*'s backend (None when empty).
+        """The added rows as a matrix labelled like *like* (None when empty).
 
         Raw sums over this matrix use the same per-user arithmetic as
         *like*'s, so an appended user's cached aggregates are bit-identical
@@ -123,12 +123,7 @@ class PopulationDelta:
         """
         if self.n_added == 0:
             return None
-        return WTPMatrix(
-            self.added,
-            item_labels=like.item_labels,
-            storage=like.storage,
-            dtype=like.dtype,
-        )
+        return WTPMatrix(self.added, item_labels=like.item_labels)
 
     def to_dict(self) -> dict:
         return {
@@ -260,8 +255,8 @@ class IncrementalMenuPricer:
     def apply(self, delta: PopulationDelta, added: WTPMatrix | None = None) -> None:
         """Advance every bundle's state across *delta*.
 
-        *added* is ``delta.added_matrix(...)`` in the population's backend
-        (so appended users' raw sums use the same arithmetic); pass
+        *added* is ``delta.added_matrix(...)`` (so appended users' raw
+        sums use the same arithmetic as the population's); pass
         ``None`` when the delta only removes users.
         """
         removed = np.asarray(delta.removed, dtype=np.intp)

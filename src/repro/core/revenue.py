@@ -61,7 +61,7 @@ from repro.core.support import (
     item_support_bits,
 )
 from repro.core.bundle import Bundle
-from repro.core.wtp import WTPMatrix, _resolve_dtype
+from repro.core.wtp import WTPMatrix
 from repro.errors import PricingError, ValidationError
 from repro.utils.validation import check_fraction
 
@@ -81,6 +81,20 @@ def default_raw_cache_entries(n_items: int) -> int:
 #: bundle-vs-separate-ratio delta of the warm menu, relative to the
 #: solution it warm-started from (see ``BundlingSolver.refit``).
 DEFAULT_DRIFT_THRESHOLD = 0.05
+
+
+def check_state_dtype(state_dtype) -> np.dtype:
+    """Validate a mixed subtree-state dtype: float64 (``None``) or float32."""
+    error = ValidationError(
+        f"state_dtype must be float64 or float32, got {state_dtype!r}"
+    )
+    try:
+        resolved = np.dtype(np.float64 if state_dtype is None else state_dtype)
+    except TypeError:
+        raise error from None
+    if resolved not in (np.dtype(np.float64), np.dtype(np.float32)):
+        raise error
+    return resolved
 
 
 def check_drift_threshold(drift_threshold: float) -> float:
@@ -152,7 +166,8 @@ class RevenueEngine:
     ----------
     wtp:
         The M×N willingness-to-pay matrix (or anything
-        :class:`~repro.core.wtp.WTPMatrix` accepts, including SciPy sparse).
+        :class:`~repro.core.wtp.WTPMatrix` accepts; SciPy sparse input is
+        densified).
     theta:
         Bundling coefficient θ of Equation 1 (default 0 — independent items,
         the conventional setting; Table 3).
@@ -172,13 +187,6 @@ class RevenueEngine:
         provenance, though no value changes a bit of the prices.  ``None``
         disables chunking (the original unbounded behaviour — O(M·N²) at
         scale).
-    precision:
-        WTP storage dtype override: ``"float64"`` (default) or
-        ``"float32"`` (half the matrix memory; pricing differs only by
-        float32 rounding).
-    storage:
-        WTP storage override: ``"dense"`` or ``"sparse"`` (SciPy CSC;
-        column sums cost density-proportional work).
     raw_cache_entries:
         Capacity of the LRU cache of per-bundle raw-WTP vectors (each O(M)).
         Default ``max(2·n_items, 128)`` — enough for every singleton plus a
@@ -220,8 +228,6 @@ class RevenueEngine:
         grid: PriceGrid | None = None,
         objective: Objective | None = None,
         chunk_elements: int | None = DEFAULT_CHUNK_ELEMENTS,
-        precision: str | None = None,
-        storage: str | None = None,
         raw_cache_entries: int | None = None,
         n_workers: int = 1,
         state_dtype: str | None = None,
@@ -230,8 +236,6 @@ class RevenueEngine:
     ) -> None:
         if not isinstance(wtp, WTPMatrix):
             wtp = WTPMatrix(wtp)
-        if precision is not None or storage is not None:
-            wtp = wtp.with_backend(storage=storage, dtype=precision)
         if theta <= -1.0:
             raise ValidationError(f"theta must be > -1, got {theta}")
         self.wtp = wtp
@@ -241,7 +245,7 @@ class RevenueEngine:
         self.objective = objective
         self.chunk_elements = check_chunk_elements(chunk_elements)
         self.n_workers = check_n_workers(n_workers)
-        self.state_dtype = np.dtype(_resolve_dtype(state_dtype))
+        self.state_dtype = check_state_dtype(state_dtype)
         self.mixed_kernel = check_mixed_kernel(mixed_kernel)
         self.drift_threshold = check_drift_threshold(drift_threshold)
         # Resolve "auto" eagerly: an explicit "sorted" request the engine

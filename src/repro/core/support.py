@@ -12,8 +12,7 @@ shrinks masks 8× versus boolean arrays — 64× versus the float32 matmul
 operands — and turns every intersection test into a word-wise AND:
 
 * :func:`item_support_bits` packs the per-item support of a
-  :class:`~repro.core.wtp.WTPMatrix` once (density-proportional work for
-  the sparse backend — the matrix is never densified);
+  :class:`~repro.core.wtp.WTPMatrix` once;
 * :func:`bundle_support_bits` derives a bundle's mask as the word-OR of
   its items' rows;
 * :func:`co_supported_pairs_packed` emits exactly the pair list of the
@@ -56,9 +55,8 @@ def supported_count(bits: np.ndarray) -> int:
 def item_support_bits(wtp: WTPMatrix) -> np.ndarray:
     """Packed per-item support, shape ``(n_items, ceil(n_users / 8))``.
 
-    Row ``i`` packs the mask "user has positive WTP for item ``i``".  Built
-    column-by-column through :meth:`WTPMatrix.support_mask`, so the sparse
-    backend pays only density-proportional work.
+    Row ``i`` packs the mask "user has positive WTP for item ``i``", built
+    column by column through :meth:`WTPMatrix.support_mask`.
     """
     n_words = (wtp.n_users + 7) // 8
     bits = np.empty((wtp.n_items, n_words), dtype=np.uint8)

@@ -68,9 +68,7 @@ def load_ratings_csv(ratings_path, prices_path, rating_max: int = 5) -> RatingsD
 def save_wtp_npz(wtp: WTPMatrix, path) -> None:
     """Persist a WTP matrix (and labels, if any) to a compressed ``.npz``.
 
-    Delegates to :meth:`WTPMatrix.save_npz`: dense storage keeps the
-    historical ``values`` layout, sparse storage round-trips its CSC
-    triplet without ever densifying.
+    Delegates to :meth:`WTPMatrix.save_npz` (the ``values`` layout).
     """
     wtp.save_npz(path)
 

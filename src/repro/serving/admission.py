@@ -27,7 +27,7 @@ from repro.errors import ServerOverloadedError, ValidationError
 class QuoteTicket:
     """One admitted quote request riding through the micro-batcher.
 
-    ``prepared`` is the validated, backend-converted row block;
+    ``prepared`` is the validated row block;
     ``deadline_at`` the absolute ``loop.time()`` instant after which the
     answer no longer matters; ``future`` resolves to a
     :class:`~repro.serving.state.ServedQuote` (or a typed error).

@@ -24,7 +24,7 @@ stacking many requests' rows into one batch matrix and pricing them with
 one kernel call yields, for each request, exactly the payments, revenue,
 and coverage that quoting its rows alone would have produced.  That claim
 is pinned by ``tests/test_serving.py`` across batch sizes, adoption
-models, and backends.
+models, and engine configurations.
 
 The ``quote_batch`` fault site lives here: when armed it raises
 :class:`~repro.errors.ServingError` before pricing, standing in for a
@@ -54,16 +54,14 @@ _MIXED = "mixed"
 
 @dataclass(frozen=True)
 class PreparedRows:
-    """One request's consumer rows, validated and backend-converted.
+    """One request's consumer rows, validated.
 
     ``raw`` keeps the rows exactly as received so a request admitted under
     one :class:`ServingState` can be re-prepared coherently if a hot reload
-    swaps the state before its batch is priced.  ``matrix`` is the rows
-    converted to the serving backend (the stored config's precision /
-    storage, exactly as a cold ``quote()``'s engine build would convert
-    them) and ``total_wtp`` its aggregate WTP — the coverage denominator,
-    computed on this request's rows alone so it matches the cold path
-    bit-for-bit.
+    swaps the state before its batch is priced.  ``matrix`` is the rows as
+    a :class:`WTPMatrix`, exactly as a cold ``quote()`` builds them, and
+    ``total_wtp`` its aggregate WTP — the coverage denominator, computed on
+    this request's rows alone so it matches the cold path bit-for-bit.
     """
 
     raw: object
@@ -119,8 +117,6 @@ class ServingState:
         self.n_items: int = solution.n_items
         self.theta: float = config.theta
         self.adoption = config.adoption.build()
-        self.precision = config.precision
-        self.storage = config.storage
         # Menu-side precomputes: per-offer supports (item-index arrays),
         # Equation-1 scale factors, and the price vector.  The level grid
         # the fit priced on is rebuilt once for introspection/health.
@@ -145,23 +141,20 @@ class ServingState:
 
     # -------------------------------------------------------------- admission
     def prepare_rows(self, rows) -> PreparedRows:
-        """Validate one request's WTP rows and convert them for serving.
+        """Validate one request's WTP rows for serving.
 
         Mirrors the cold path's input handling exactly: the rows are built
         into a (validating) :class:`WTPMatrix` — non-numeric, ragged,
         negative, NaN, or infinite input raises
         :class:`~repro.errors.ValidationError` here, before the request is
-        ever queued — then converted to the stored config's WTP backend
-        the same way ``EngineConfig.build`` would.
+        ever queued.
         """
         if isinstance(rows, WTPMatrix):
             raise ValidationError(
                 "serving expects raw consumer rows (list / ndarray / SciPy "
-                "sparse), not a WTPMatrix — the server owns backend conversion"
+                "sparse), not a WTPMatrix — the server validates rows itself"
             )
         matrix = WTPMatrix(rows)
-        if self.precision is not None or self.storage is not None:
-            matrix = matrix.with_backend(storage=self.storage, dtype=self.precision)
         if matrix.n_items != self.n_items:
             raise ValidationError(
                 f"quote rows have {matrix.n_items} items; the serving solution "
@@ -201,7 +194,10 @@ class ServingState:
                     f"quote rows have {block.matrix.n_items} items; the serving "
                     f"solution was fitted on {self.n_items}"
                 )
-        matrix = blocks[0].matrix if len(blocks) == 1 else self._stack(blocks)
+        if len(blocks) == 1:
+            matrix = blocks[0].matrix
+        else:
+            matrix = WTPMatrix.stack([block.matrix for block in blocks])
         bounds = np.cumsum([0] + [block.n_users for block in blocks])
         if self.forest is None:
             payments, per_offer_probs = self._pure_pass(matrix)
@@ -264,34 +260,6 @@ class ServingState:
             payments += offer.price * probs
             per_offer_probs.append(probs)
         return payments, per_offer_probs
-
-    def _stack(self, blocks: list[PreparedRows]) -> WTPMatrix:
-        """The blocks' raw rows stacked and converted as one batch matrix.
-
-        Conversion runs once over the stacked rows through the exact cold
-        sequence (``WTPMatrix`` then ``with_backend``); both steps are
-        elementwise, so each block's rows convert to the same bits they
-        converted to individually at admission.
-        """
-        raws = [block.raw for block in blocks]
-        if any(hasattr(raw, "tocsc") for raw in raws):
-            import scipy.sparse as sp
-
-            stacked = sp.vstack(
-                [
-                    raw.tocsc()
-                    if hasattr(raw, "tocsc")
-                    else sp.csc_array(np.asarray(raw, dtype=np.float64))
-                    for raw in raws
-                ],
-                format="csc",
-            )
-        else:
-            stacked = np.vstack([np.asarray(raw, dtype=np.float64) for raw in raws])
-        matrix = WTPMatrix(stacked)
-        if self.precision is not None or self.storage is not None:
-            matrix = matrix.with_backend(storage=self.storage, dtype=self.precision)
-        return matrix
 
     @staticmethod
     def _coverage(revenue: float, total_wtp: float) -> float:

@@ -100,8 +100,6 @@ class TestEngineConfig:
             theta=0.25,
             n_levels=50,
             adoption=AdoptionSpec(kind="sigmoid", gamma=2.0),
-            precision="float32",
-            storage="sparse",
             chunk_elements=12345,
             n_workers=3,
             state_dtype="float32",
@@ -125,6 +123,16 @@ class TestEngineConfig:
         with pytest.raises(ValidationError, match=next(iter(option))):
             EngineConfig.from_dict({**EngineConfig().to_dict(), **option})
 
+    @pytest.mark.parametrize("key", ["precision", "storage"])
+    def test_precision_and_storage_are_not_options(self, wtp, key):
+        """W is always dense float64: neither backend knob exists."""
+        with pytest.raises(TypeError):
+            EngineConfig(**{key: None})
+        with pytest.raises(TypeError):
+            RevenueEngine(wtp, **{key: None})
+        with pytest.raises(ValidationError, match="unknown EngineConfig keys"):
+            EngineConfig.from_dict({**EngineConfig().to_dict(), key: None})
+
     def test_sorted_kernel_needs_deterministic_adoption(self):
         with pytest.raises(ReproError):
             EngineConfig(
@@ -133,9 +141,7 @@ class TestEngineConfig:
 
     def test_invalid_choices(self):
         with pytest.raises(ValidationError):
-            EngineConfig(precision="float16")
-        with pytest.raises(ValidationError):
-            EngineConfig(storage="ram")
+            EngineConfig(state_dtype="float16")
         with pytest.raises(ValidationError):
             EngineConfig(theta=-2.0)
         with pytest.raises(ValidationError):
@@ -145,7 +151,6 @@ class TestEngineConfig:
         engine = RevenueEngine(
             wtp,
             theta=0.1,
-            precision="float32",
             chunk_elements=9999,
             n_workers=2,
             state_dtype="float32",
@@ -153,14 +158,13 @@ class TestEngineConfig:
         )
         config = EngineConfig.from_engine(engine)
         assert config.theta == 0.1
-        assert config.precision == "float32"
         assert config.chunk_elements == 9999
         assert config.n_workers == 2
         assert config.state_dtype == "float32"
         assert config.mixed_kernel == "band"
         assert config.raw_cache_entries is None  # the per-catalogue default
         rebuilt = config.build(engine.wtp)
-        assert rebuilt.wtp.dtype == engine.wtp.dtype
+        assert rebuilt.state_dtype == engine.state_dtype
         assert rebuilt.chunk_elements == engine.chunk_elements
 
 
@@ -312,23 +316,41 @@ class TestSolutionPayloadValidation:
         with pytest.raises(ValidationError, match="format_version"):
             BundlingSolution.from_dict(payload)
 
+    @staticmethod
+    def _assert_old_format_rejected(wtp, tmp_path, version, legacy_keys):
+        ckpt = tmp_path / "fit.ckpt.json"
+        solution = BundlingSolver("pure_greedy").fit(wtp, checkpoint_path=ckpt)
+        payload = solution.to_dict()
+        payload["format_version"] = version
+        payload["engine_config"].update(legacy_keys)
+        with pytest.raises(
+            ValidationError, match=f"solution format_version {version}"
+        ):
+            BundlingSolution.from_dict(payload)
+        payload = json.loads(ckpt.read_text())
+        payload["format_version"] = version
+        payload["engine_config"].update(legacy_keys)
+        ckpt.write_text(json.dumps(payload))
+        with pytest.raises(
+            CheckpointError, match=f"checkpoint format_version {version}"
+        ):
+            FitCheckpoint.load(ckpt)
+
     def test_v1_solution_and_checkpoint_rejected(self, wtp, tmp_path):
         """Format 1 carried ``executor``/``retry`` in ``engine_config``; it
         fails on its version, never as an unknown key or a tampered
         fingerprint."""
-        ckpt = tmp_path / "fit.ckpt.json"
-        solution = BundlingSolver("pure_greedy").fit(wtp, checkpoint_path=ckpt)
-        payload = solution.to_dict()
-        payload["format_version"] = 1
-        payload["engine_config"].update(executor="thread", retry=None)
-        with pytest.raises(ValidationError, match="solution format_version 1"):
-            BundlingSolution.from_dict(payload)
-        payload = json.loads(ckpt.read_text())
-        payload["format_version"] = 1
-        payload["engine_config"].update(executor="thread", retry=None)
-        ckpt.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match="checkpoint format_version 1"):
-            FitCheckpoint.load(ckpt)
+        self._assert_old_format_rejected(
+            wtp, tmp_path, 1, {"executor": "thread", "retry": None}
+        )
+
+    def test_v2_solution_and_checkpoint_rejected(self, wtp, tmp_path):
+        """Format 2 carried ``precision``/``storage`` in ``engine_config``;
+        it fails on its version, never as an unknown key or a tampered
+        fingerprint."""
+        self._assert_old_format_rejected(
+            wtp, tmp_path, 2, {"precision": "float32", "storage": "sparse"}
+        )
 
     def test_strategy_configuration_mismatch(self, fitted):
         _, solution = fitted

@@ -41,8 +41,8 @@ class TestBundleCommand:
             main(["bundle", "--algorithm", "nope"])
 
     def test_backend_flags_forwarded(self, capsys, monkeypatch):
-        """--precision/--storage/--chunk-elements/--n-workers/--state-dtype/
-        --mixed-kernel reach the RevenueEngine."""
+        """--chunk-elements/--n-workers/--state-dtype/--mixed-kernel reach
+        the RevenueEngine."""
         from repro.core.revenue import RevenueEngine
 
         captured = {}
@@ -55,18 +55,23 @@ class TestBundleCommand:
         monkeypatch.setattr(RevenueEngine, "__init__", spy)
         code = main([
             "bundle", "--algorithm", "mixed_greedy", "--users", "60",
-            "--items", "10", "--precision", "float32", "--storage", "sparse",
-            "--chunk-elements", "5000", "--n-workers", "3",
+            "--items", "10", "--chunk-elements", "5000", "--n-workers", "3",
             "--state-dtype", "float32", "--mixed-kernel", "sorted",
         ])
         assert code == 0
         assert "expected revenue" in capsys.readouterr().out
-        assert captured["precision"] == "float32"
-        assert captured["storage"] == "sparse"
         assert captured["chunk_elements"] == 5000
         assert captured["n_workers"] == 3
         assert captured["state_dtype"] == "float32"
         assert captured["mixed_kernel"] == "sorted"
+
+    @pytest.mark.parametrize("flag", ["--precision", "--storage"])
+    def test_wtp_backend_flags_removed(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            main(["bundle", "--help"])
+        assert flag not in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["bundle", flag, "float32"])
 
     def test_mixed_kernel_choices_validated(self):
         with pytest.raises(SystemExit):

@@ -203,31 +203,27 @@ class TestLoaders:
         np.testing.assert_allclose(loaded.values, handmade_wtp.values)
         assert loaded.item_labels == handmade_wtp.item_labels
 
-    def test_float32_wtp_roundtrip_keeps_dtype(self, tmp_path, handmade_wtp):
-        """load_npz must not silently widen a float32 matrix to float64."""
-        for storage in ("dense", "sparse"):
-            half = handmade_wtp.with_backend(storage=storage, dtype="float32")
-            path = tmp_path / f"half-{storage}.npz"
-            save_wtp_npz(half, path)
-            loaded = load_wtp_npz(path)
-            assert loaded.dtype == np.dtype(np.float32)
-            assert loaded.storage == storage
-            np.testing.assert_array_equal(
-                np.asarray(loaded.values), np.asarray(half.values)
-            )
-
-    def test_sparse_wtp_roundtrip_stays_sparse(self, tmp_path, handmade_wtp):
-        """Sparse matrices persist their CSC triplet — never densified."""
-        sparse = handmade_wtp.with_backend(storage="sparse")
-        path = tmp_path / "sparse.npz"
-        save_wtp_npz(sparse, path)
-        with np.load(path) as archive:
-            assert "values" not in archive.files  # no dense payload on disk
-            assert "data" in archive.files
+    def test_float32_wtp_archive_loads_as_float64(self, tmp_path, handmade_wtp):
+        """A float32 ``values`` archive widens to float64 on load."""
+        half = np.asarray(handmade_wtp.values, dtype=np.float32)
+        path = tmp_path / "half.npz"
+        np.savez_compressed(path, values=half)
         loaded = load_wtp_npz(path)
-        assert loaded.storage == "sparse"
-        np.testing.assert_allclose(loaded.values, handmade_wtp.values)
-        assert loaded.item_labels == handmade_wtp.item_labels
+        assert loaded.values.dtype == np.float64
+        np.testing.assert_array_equal(loaded.values, half.astype(np.float64))
+
+    def test_csc_triplet_archive_rejected(self, tmp_path):
+        """Only the dense ``values`` layout loads; a CSC triplet is named."""
+        path = tmp_path / "sparse.npz"
+        np.savez_compressed(
+            path,
+            shape=np.array([2, 2]),
+            data=np.array([1.0, 2.0]),
+            indices=np.array([0, 1]),
+            indptr=np.array([0, 1, 2]),
+        )
+        with pytest.raises(ValidationError, match="CSC-triplet"):
+            load_wtp_npz(path)
 
     def test_bad_header_rejected(self, tmp_path):
         ratings = tmp_path / "r.csv"

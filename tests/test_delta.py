@@ -133,15 +133,11 @@ class TestEngineApplyDelta:
         [
             EngineConfig(),
             EngineConfig(n_workers=2),
-            EngineConfig(precision="float32"),
-            EngineConfig(storage="sparse"),
             EngineConfig(state_dtype="float32"),
         ],
         ids=[
             "default",
             "thread-w2",
-            "float32",
-            "sparse",
             "state-float32",
         ],
     )

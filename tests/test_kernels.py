@@ -1,16 +1,12 @@
 """Parity tests for the streaming kernel subsystem.
 
-Three invariants are pinned here:
+Two invariants are pinned here:
 
 * **chunked == unchunked** — streaming the pair scans through bounded
   buffers must be *bit-identical* to the one-giant-stack formulation, for
   both pure and mixed pricing, across adoption models and grid modes;
 * **packed == dense** — bit-packed co-support must emit exactly the pair
-  list (and order) of the dense boolean-stack reference;
-* **backend parity** — the sparse backend must match dense float64 to
-  within accumulation-order noise (exact in practice), and the float32
-  backend to within a loose tolerance (float32 rounding is amplified at
-  price-grid bucket boundaries, where ratings-derived WTP sits exactly).
+  list (and order) of the dense boolean-stack reference.
 """
 
 import numpy as np
@@ -321,69 +317,6 @@ class TestPackedSupport:
         assert not masks_intersect(a, b)
         assert masks_intersect(a, a)
 
-    def test_sparse_backend_support_without_densify(self, parity_wtp):
-        sparse = parity_wtp.with_backend(storage="sparse")
-        np.testing.assert_array_equal(
-            item_support_bits(sparse), item_support_bits(parity_wtp)
-        )
-
-
-class TestBackendParity:
-    @pytest.mark.parametrize("adoption_key,grid_key", VALID_COMBOS)
-    def test_sparse_matches_dense(self, parity_wtp, adoption_key, grid_key):
-        bundles = [Bundle.of(i) for i in range(parity_wtp.n_items)] + [
-            Bundle.of(0, 1),
-            Bundle.of(2, 5, 8),
-        ]
-        dense = RevenueEngine(
-            parity_wtp, adoption=ADOPTIONS[adoption_key], grid=GRIDS[grid_key]()
-        )
-        sparse = RevenueEngine(
-            parity_wtp,
-            adoption=ADOPTIONS[adoption_key],
-            grid=GRIDS[grid_key](),
-            storage="sparse",
-        )
-        assert sparse.wtp.storage == "sparse"
-        for g, w in zip(sparse.price_bundles(bundles), dense.price_bundles(bundles)):
-            assert g.price == pytest.approx(w.price, rel=1e-9)
-            assert g.revenue == pytest.approx(w.revenue, rel=1e-9)
-
-    @pytest.mark.parametrize("adoption_key,grid_key", VALID_COMBOS)
-    def test_float32_matches_dense_loosely(self, parity_wtp, adoption_key, grid_key):
-        bundles = [Bundle.of(i) for i in range(parity_wtp.n_items)] + [
-            Bundle.of(0, 1),
-            Bundle.of(2, 5, 8),
-        ]
-        dense = RevenueEngine(
-            parity_wtp, adoption=ADOPTIONS[adoption_key], grid=GRIDS[grid_key]()
-        )
-        half = RevenueEngine(
-            parity_wtp,
-            adoption=ADOPTIONS[adoption_key],
-            grid=GRIDS[grid_key](),
-            precision="float32",
-        )
-        assert half.wtp.dtype == np.dtype(np.float32)
-        # float32 rounding can move knife-edge consumers across one price
-        # bucket, so per-bundle revenue may move by one consumer's payment.
-        for g, w in zip(half.price_bundles(bundles), dense.price_bundles(bundles)):
-            assert g.revenue == pytest.approx(w.revenue, rel=0.05)
-
-    def test_end_to_end_sparse_equals_dense(self, small_wtp):
-        for algo in (GreedyMerge(strategy="pure"), IterativeMatching(strategy="mixed")):
-            want = algo.fit(RevenueEngine(small_wtp)).expected_revenue
-            got = algo.fit(RevenueEngine(small_wtp, storage="sparse")).expected_revenue
-            assert got == pytest.approx(want, rel=1e-9)
-
-    def test_end_to_end_float32_close_to_dense(self, small_wtp):
-        for algo in (GreedyMerge(strategy="pure"), IterativeMatching(strategy="pure")):
-            want = algo.fit(RevenueEngine(small_wtp)).expected_revenue
-            got = algo.fit(
-                RevenueEngine(small_wtp, precision="float32")
-            ).expected_revenue
-            assert got == pytest.approx(want, rel=0.02)
-
 
 class TestEndToEndChunking:
     """Whole-algorithm bit-identity under aggressive chunking and eviction."""
@@ -464,13 +397,11 @@ class TestEngineOptions:
             RevenueEngine(small_wtp, chunk_elements=2.5)
         assert RevenueEngine(small_wtp, chunk_elements=None).chunk_elements is None
 
-    def test_precision_and_storage_forwarding(self, small_wtp):
-        engine = RevenueEngine(small_wtp, precision="float32", storage="sparse")
-        assert engine.wtp.storage == "sparse"
-        assert engine.wtp.dtype == np.dtype(np.float32)
-
     def test_accepts_scipy_sparse_input(self, small_wtp):
+        """SciPy input is densified: the fit equals the dense fit exactly."""
         sp = pytest.importorskip("scipy.sparse")
         engine = RevenueEngine(sp.csr_matrix(np.asarray(small_wtp.values)))
-        assert engine.wtp.storage == "sparse"
-        assert engine.n_users == small_wtp.n_users
+        np.testing.assert_array_equal(engine.wtp.values, small_wtp.values)
+        algo = IterativeMatching(strategy="mixed")
+        got = algo.fit(engine).expected_revenue
+        assert got == algo.fit(RevenueEngine(small_wtp)).expected_revenue

@@ -35,7 +35,6 @@ from repro.core import faults
 from repro.core.kernels import check_n_workers, run_chunks
 from repro.core.pricing import PriceGrid, tree_sum
 from repro.core.revenue import RevenueEngine
-from repro.core.wtp import WTPMatrix
 from repro.data.wtp_mapping import list_price_revenue
 from repro.errors import ValidationError
 from repro.fim.transactions import TransactionDatabase
@@ -276,19 +275,15 @@ class TestIterColumns:
         assert (start, stop) == (0, parity_wtp.n_items)
         assert block.base is not None or block is parity_wtp.values
 
-    @pytest.mark.parametrize("storage,dtype", [
-        ("dense", "float64"), ("dense", "float32"), ("sparse", "float64"),
-    ])
-    def test_blocks_reassemble_matrix(self, parity_wtp, storage, dtype):
-        wtp = parity_wtp.with_backend(storage=storage, dtype=dtype)
-        budget = wtp.n_users * 5
-        blocks = list(wtp.iter_columns(budget))
+    def test_blocks_reassemble_matrix(self, parity_wtp):
+        budget = parity_wtp.n_users * 5
+        blocks = list(parity_wtp.iter_columns(budget))
         for start, stop, block in blocks:
-            assert block.shape == (wtp.n_users, stop - start)
+            assert block.shape == (parity_wtp.n_users, stop - start)
             assert block.size <= budget
             assert not block.flags.writeable
         assembled = np.hstack([b for _, _, b in blocks])
-        np.testing.assert_array_equal(assembled, np.asarray(wtp.values))
+        np.testing.assert_array_equal(assembled, np.asarray(parity_wtp.values))
 
     def test_budget_validation(self, parity_wtp):
         with pytest.raises(ValidationError):
@@ -298,21 +293,20 @@ class TestIterColumns:
 class TestColumnStreamedConsumers:
     def test_transactions_match_dense_reference(self, parity_wtp):
         reference = np.asarray(parity_wtp.values) > 0
-        for wtp in (parity_wtp, parity_wtp.with_backend(storage="sparse")):
-            db = TransactionDatabase.from_wtp(wtp, chunk_elements=parity_wtp.n_users * 3)
-            assert db.n_transactions == parity_wtp.n_users
-            for item in range(parity_wtp.n_items):
-                np.testing.assert_array_equal(
-                    np.unpackbits(db.tidset(item), count=parity_wtp.n_users).astype(bool),
-                    reference[:, item],
-                )
+        db = TransactionDatabase.from_wtp(
+            parity_wtp, chunk_elements=parity_wtp.n_users * 3
+        )
+        assert db.n_transactions == parity_wtp.n_users
+        for item in range(parity_wtp.n_items):
+            np.testing.assert_array_equal(
+                np.unpackbits(db.tidset(item), count=parity_wtp.n_users).astype(bool),
+                reference[:, item],
+            )
 
     def test_list_price_revenue_chunk_invariant(self, small_dataset, small_wtp):
         want = list_price_revenue(small_dataset, small_wtp)
         for chunk_elements in (small_wtp.n_users, small_wtp.n_users * 7, None):
             assert list_price_revenue(small_dataset, small_wtp, chunk_elements) == want
-        sparse = small_wtp.with_backend(storage="sparse")
-        assert list_price_revenue(small_dataset, sparse, small_wtp.n_users * 3) == want
 
     def test_list_price_revenue_matches_dense_formula(self, small_dataset, small_wtp):
         values = np.asarray(small_wtp.values)
@@ -321,11 +315,8 @@ class TestColumnStreamedConsumers:
         want = float((buyers * prices[None, :]).sum())
         assert list_price_revenue(small_dataset, small_wtp) == pytest.approx(want)
 
-    @pytest.mark.parametrize("storage", ["dense", "sparse"])
-    def test_enumeration_matches_across_budgets(self, parity_wtp, storage):
-        wtp = WTPMatrix(
-            np.asarray(parity_wtp.values)[:, :8], storage=storage
-        )
+    def test_enumeration_matches_across_budgets(self, parity_wtp):
+        wtp = parity_wtp.subset_items(range(8))
         baseline = enumerate_bundle_revenues(RevenueEngine(wtp))
         streamed = enumerate_bundle_revenues(
             RevenueEngine(wtp, chunk_elements=wtp.n_users * 3)

@@ -109,13 +109,8 @@ class TestServingStateBitIdentity:
             _assert_identical(quote, mixed_solution.quote(rows))
             assert quote.batched is False
 
-    @pytest.mark.parametrize(
-        "backend", [{"precision": "float32"}, {"storage": "sparse"}]
-    )
-    def test_batched_equals_cold_backends(self, small_wtp, requests_by_size, backend):
-        solution = BundlingSolver("components", EngineConfig(theta=0.1, **backend)).fit(
-            small_wtp
-        )
+    def test_batched_equals_cold_fresh_fit(self, small_wtp, requests_by_size):
+        solution = BundlingSolver("components", EngineConfig(theta=0.1)).fit(small_wtp)
         state = ServingState(solution)
         blocks = [state.prepare_rows(rows) for rows in requests_by_size]
         for quote, rows in zip(state.quote_batch(blocks), requests_by_size):
@@ -590,6 +585,48 @@ class TestSolutionFingerprintVerification:
             corrupted[1, 2] = bad
             with pytest.raises(ValidationError, match="non-finite"):
                 mixed_solution.quote(corrupted)
+
+
+# ===================================================== SciPy-free serve path
+_SCIPY_FREE_DRIVER = r"""
+import sys
+import numpy as np
+from repro.api import BundlingSolver, EngineConfig
+from repro.api.solution import BundlingSolution
+from repro.core.delta import PopulationDelta
+from repro.serving import ServingState
+
+def check_quotes(solution, rows):
+    state = ServingState(solution)
+    blocks = [state.prepare_rows(block) for block in rows]
+    for served, block in zip(state.quote_batch(blocks), rows):
+        cold = solution.quote(block)
+        assert np.array_equal(served.payments, cold.payments)
+        assert served.revenue == cold.revenue
+
+rng = np.random.default_rng(5)
+wtp = rng.uniform(0.0, 10.0, size=(60, 8)).tolist()
+solver = BundlingSolver("mixed_greedy", EngineConfig(theta=0.1))
+solver.fit(wtp).save(sys.argv[1])
+solution = BundlingSolution.load(sys.argv[1])
+rows = [wtp[:3], wtp[3:10], wtp[10:11]]
+check_quotes(solution, rows)
+delta = PopulationDelta(removed=(0, 7), added=[row[::-1] for row in wtp[:4]])
+report = solver.refit(solution, wtp, delta)
+check_quotes(report.solution, rows)
+loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
+assert not loaded, loaded
+"""
+
+
+def test_serve_path_never_imports_scipy(tmp_path):
+    """Fit, save, load, batch-quote and refit without loading SciPy."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_DRIVER, str(tmp_path / "menu.json")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # ========================================================== SIGINT handling

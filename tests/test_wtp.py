@@ -79,7 +79,9 @@ class TestBundleWTP:
 
     def test_theta_zero_is_plain_sum(self, handmade_wtp):
         expected = handmade_wtp.values.sum(axis=1)
-        np.testing.assert_allclose(handmade_wtp.bundle_wtp(Bundle.of(0, 1, 2)), expected)
+        np.testing.assert_allclose(
+            handmade_wtp.bundle_wtp(Bundle.of(0, 1, 2)), expected
+        )
 
 
 class TestDerivations:
@@ -118,25 +120,21 @@ class TestDerivations:
 
 
 class TestStorageBackends:
-    """The dense-float32 and sparse-CSC storage backends."""
+    """One backend is left: a dense, read-only float64 array.
 
-    BACKENDS = (
-        {"dtype": "float32"},
-        {"storage": "sparse"},
-        {"storage": "sparse", "dtype": "float32"},
-    )
+    SciPy sparse input is densified at the boundary and validated like any
+    other input.
+    """
 
     def test_default_backend_is_dense_float64(self, handmade_wtp):
-        assert handmade_wtp.storage == "dense"
-        assert handmade_wtp.dtype == np.dtype(np.float64)
+        assert isinstance(handmade_wtp.values, np.ndarray)
+        assert handmade_wtp.values.dtype == np.float64
 
-    def test_raw_sum_is_float64_everywhere(self, handmade_wtp):
-        reference = np.asarray(handmade_wtp.values)[:, [0, 2]].sum(axis=1)
-        for kwargs in self.BACKENDS:
-            wtp = handmade_wtp.with_backend(**kwargs)
-            raw = wtp.raw_sum([0, 2])
-            assert raw.dtype == np.float64
-            np.testing.assert_allclose(raw, reference, rtol=1e-6)
+    def test_raw_sum_is_float64_everywhere(self):
+        for source in ([[1, 2]], np.array([[1.5, 2.0]], dtype=np.float32)):
+            wtp = WTPMatrix(source)
+            assert wtp.values.dtype == np.float64
+            assert wtp.raw_sum([0, 1]).dtype == np.float64
 
     def test_dense_float64_raw_sum_is_exact(self, handmade_wtp):
         reference = np.asarray(handmade_wtp.values)[:, [0, 1, 2]].sum(axis=1)
@@ -144,40 +142,32 @@ class TestStorageBackends:
 
     def test_support_mask_matches_dense(self, handmade_wtp):
         reference = (np.asarray(handmade_wtp.values)[:, [1, 2]] > 0).any(axis=1)
-        for kwargs in self.BACKENDS:
-            wtp = handmade_wtp.with_backend(**kwargs)
-            np.testing.assert_array_equal(wtp.support_mask([1, 2]), reference)
-
-    def test_derivations_preserve_backend(self, handmade_wtp):
-        sparse = handmade_wtp.with_backend(storage="sparse", dtype="float32")
-        for derived in (
-            sparse.subset_items([0, 2]),
-            sparse.subset_users([1, 3]),
-            sparse.clone_users(2),
-            sparse.scaled(3.0),
-        ):
-            assert derived.storage == "sparse"
-            assert derived.dtype == np.dtype(np.float32)
-
-    def test_with_backend_identity_returns_self(self, handmade_wtp):
-        assert handmade_wtp.with_backend(storage="dense", dtype="float64") is handmade_wtp
-
-    def test_roundtrip_conversion(self, handmade_wtp):
-        back = handmade_wtp.with_backend(storage="sparse").with_backend(storage="dense")
-        np.testing.assert_array_equal(back.values, handmade_wtp.values)
-        assert back.item_labels == handmade_wtp.item_labels
-
-    def test_sparse_values_materializes_dense(self, handmade_wtp):
-        sparse = handmade_wtp.with_backend(storage="sparse")
-        np.testing.assert_array_equal(sparse.values, handmade_wtp.values)
-        with pytest.raises(ValueError):
-            sparse.values[0, 0] = 1.0
+        np.testing.assert_array_equal(handmade_wtp.support_mask([1, 2]), reference)
 
     def test_nnz_and_density(self, handmade_wtp):
-        for kwargs in ({}, *self.BACKENDS):
-            wtp = handmade_wtp.with_backend(**kwargs) if kwargs else handmade_wtp
-            assert wtp.nnz == 9
-            assert wtp.density == pytest.approx(9 / 12)
+        assert handmade_wtp.nnz == 9
+        assert handmade_wtp.density == pytest.approx(9 / 12)
+
+    def test_invalid_dtype_and_storage(self):
+        with pytest.raises(TypeError):
+            WTPMatrix([[1.0]], dtype="float32")
+        with pytest.raises(TypeError):
+            WTPMatrix([[1.0]], storage="sparse")
+
+    def test_stack_concatenates_rows(self, handmade_wtp):
+        stacked = WTPMatrix.stack([handmade_wtp, handmade_wtp.subset_users([1])])
+        assert stacked.n_users == 5
+        assert stacked.item_labels == handmade_wtp.item_labels
+        np.testing.assert_array_equal(stacked.values[:4], handmade_wtp.values)
+        np.testing.assert_array_equal(stacked.values[4], handmade_wtp.values[1])
+
+    def test_sparse_values_materializes_dense(self, handmade_wtp):
+        sp = pytest.importorskip("scipy.sparse")
+        wtp = WTPMatrix(sp.csr_matrix(np.asarray(handmade_wtp.values)))
+        assert wtp.values.dtype == np.float64
+        np.testing.assert_array_equal(wtp.values, handmade_wtp.values)
+        with pytest.raises(ValueError):
+            wtp.values[0, 0] = 1.0
 
     def test_sparse_validation(self):
         sp = pytest.importorskip("scipy.sparse")
@@ -196,17 +186,3 @@ class TestStorageBackends:
         )
         wtp = WTPMatrix(matrix)
         np.testing.assert_array_equal(wtp.support_mask([1]), [False, True])
-
-    def test_invalid_dtype_and_storage(self, handmade_wtp):
-        with pytest.raises(ValidationError):
-            WTPMatrix([[1.0]], dtype="int32")
-        with pytest.raises(ValidationError):
-            WTPMatrix([[1.0]], storage="columnar")
-
-    def test_bundle_wtp_across_backends(self, handmade_wtp):
-        reference = handmade_wtp.bundle_wtp(Bundle.of(0, 2), theta=0.25)
-        for kwargs in self.BACKENDS:
-            wtp = handmade_wtp.with_backend(**kwargs)
-            got = wtp.bundle_wtp(Bundle.of(0, 2), theta=0.25)
-            assert got.dtype == np.float64
-            np.testing.assert_allclose(got, reference, rtol=1e-6)
