@@ -1,4 +1,4 @@
-"""CI perf-smoke gate: threaded pair scans must actually be faster.
+"""CI perf-smoke gates: threaded pair scans and blossom matching must be fast.
 
 The committed ``BENCH_scalability.json`` was recorded on a 1-CPU container,
 where every "parallel" ratio measures overhead rather than parallelism
@@ -19,6 +19,13 @@ With fewer than two available cores the gate cannot mean anything, so the
 script prints a skip notice, records ``"skipped"`` in the report, and
 exits 0 — the skip is visible in the artifact, not silent.
 
+A second gate needs one core and always runs: on a seeded 120-vertex,
+~97%-dense graph with lognormal weights (the shape of a wide mixed fit's
+first matching round), ``solve_matching`` must find a matching of the same
+weight as ``networkx.max_weight_matching`` and run at least
+``MATCHING_MIN_SPEEDUP`` times faster, both timed on the same runner.  Its
+figures go under ``"matching"`` in the report.
+
 Run from the repo root::
 
     PYTHONPATH=src python benchmarks/perf_smoke.py --n-workers 2
@@ -33,12 +40,73 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro.api import EngineConfig
 from repro.core.kernels import available_cpus
 from repro.data.synthetic import amazon_books_like
 from repro.data.wtp_mapping import wtp_from_ratings
+from repro.matching import solve_matching
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "perf_smoke.json"
+
+#: Required networkx ÷ blossom wall-time ratio on the dense matching graph.
+MATCHING_MIN_SPEEDUP = 6.0
+#: The matching gate's graph, shaped like a wide mixed fit's first round.
+MATCHING_GRAPH = {"n_vertices": 120, "density": 0.97, "seed": 0}
+
+
+def dense_gain_graph(n_vertices: int, density: float, seed: int) -> list:
+    """A seeded near-complete graph with lognormal "gain" edge weights."""
+    rng = np.random.default_rng(seed)
+    return [
+        (i, j, float(rng.lognormal(mean=0.0, sigma=1.5)))
+        for i in range(n_vertices)
+        for j in range(i + 1, n_vertices)
+        if rng.random() < density
+    ]
+
+
+def _best_of(repeats: int, solve, edges) -> tuple[float, set]:
+    """The fastest of *repeats* wall times of ``solve(edges)``, and its result."""
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        pairs = solve(edges)
+        best = min(best, time.perf_counter() - started)
+    return best, pairs
+
+
+def _networkx_matching(edges) -> set:
+    import networkx as nx
+
+    graph = nx.Graph()
+    graph.add_weighted_edges_from(edges)
+    return nx.max_weight_matching(graph, maxcardinality=False)
+
+
+def matching_cell(repeats: int = 3) -> dict:
+    """Blossom against networkx on one dense graph: same weight, and speed."""
+    edges = dense_gain_graph(**MATCHING_GRAPH)
+    weight = {(min(u, v), max(u, v)): w for (u, v, w) in edges}
+    blossom_s, ours = _best_of(repeats, solve_matching, edges)
+    networkx_s, theirs = _best_of(repeats, _networkx_matching, edges)
+    ours_weight = sum(weight[pair] for pair in ours)
+    theirs_weight = sum(weight[(min(u, v), max(u, v))] for (u, v) in theirs)
+    same_weight = abs(ours_weight - theirs_weight) <= 1e-9 * abs(theirs_weight)
+    speedup = networkx_s / max(blossom_s, 1e-9)
+    return {
+        "graph": {**MATCHING_GRAPH, "n_edges": len(edges)},
+        "blossom_seconds": round(blossom_s, 4),
+        "networkx_seconds": round(networkx_s, 4),
+        "speedup_x": round(speedup, 2),
+        "matched_pairs": len(ours),
+        "blossom_weight": ours_weight,
+        "networkx_weight": theirs_weight,
+        "same_weight": same_weight,
+        "gate": f"same weight and networkx / blossom >= {MATCHING_MIN_SPEEDUP}x",
+        "passed": same_weight and speedup >= MATCHING_MIN_SPEEDUP,
+    }
 
 
 def run_scans(config: EngineConfig, wtp) -> dict:
@@ -82,8 +150,18 @@ def run_scans(config: EngineConfig, wtp) -> dict:
 def build_report(args) -> tuple[dict, int]:
     """The perf-smoke report plus the process exit code."""
     cpu_count = available_cpus()
+    matching = matching_cell()
+    print(json.dumps({"matching": matching}, indent=1))
+    if not matching["passed"]:
+        print(
+            f"FAIL: blossom matching is {matching['speedup_x']}x networkx "
+            f"(gate {MATCHING_MIN_SPEEDUP}x), same weight: {matching['same_weight']}",
+            file=sys.stderr,
+        )
+    matching_code = 0 if matching["passed"] else 1
     report = {
-        "benchmark": "perf-smoke (threaded vs serial pair scans)",
+        "benchmark": "perf-smoke (threaded vs serial pair scans; blossom vs networkx)",
+        "matching": matching,
         "base": {"n_users": 400, "n_items": 60, "seed": 2},
         "clone_factor": args.factor,
         "n_workers": args.n_workers,
@@ -100,7 +178,7 @@ def build_report(args) -> tuple[dict, int]:
             "gate is meaningless without a second core"
         )
         print(f"SKIP: {report['skipped']}")
-        return report, 0
+        return report, matching_code
 
     dataset = amazon_books_like(n_users=400, n_items=60, seed=2)
     wtp = wtp_from_ratings(dataset, conversion=1.25).clone_users(args.factor)
@@ -159,7 +237,7 @@ def build_report(args) -> tuple[dict, int]:
             f"{args.min_speedup}x gate",
             file=sys.stderr,
         )
-    return report, 0 if passed else 1
+    return report, 0 if passed and not matching_code else 1
 
 
 def main() -> int:

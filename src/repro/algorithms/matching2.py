@@ -26,7 +26,7 @@ from repro.algorithms.base import (
 from repro.core.configuration import MixedConfiguration, PureConfiguration
 from repro.core.pricing import PricedBundle
 from repro.core.revenue import RevenueEngine
-from repro.matching.backends import solve_matching
+from repro.matching.blossom import solve_matching
 from repro.utils.timer import Timer
 
 
@@ -40,9 +40,8 @@ class Optimal2Bundling(BundlingAlgorithm):
 
     strategy = PURE
 
-    def __init__(self, strategy: str = PURE, backend: str = "blossom") -> None:
+    def __init__(self, strategy: str = PURE) -> None:
         self.strategy = check_strategy(strategy)
-        self.backend = backend
         self.name = f"{self.strategy}_matching2"
 
     def fit(self, engine: RevenueEngine) -> BundlingResult:
@@ -70,7 +69,7 @@ class Optimal2Bundling(BundlingAlgorithm):
                         payload[pair] = merge
                         gain_of[pair] = merge.gain
                         edges.append((pair[0], pair[1], merge.gain))
-            matched = solve_matching(edges, backend=self.backend)
+            matched = solve_matching(edges)
 
             if self.strategy == PURE:
                 taken = {index for pair in matched for index in pair}

@@ -34,7 +34,7 @@ from repro.algorithms.base import (
 from repro.core.configuration import MixedConfiguration, PureConfiguration
 from repro.core.pricing import PricedBundle
 from repro.core.revenue import RevenueEngine
-from repro.matching.backends import solve_matching
+from repro.matching.blossom import solve_matching
 from repro.utils.timer import Timer
 
 
@@ -47,8 +47,6 @@ class IterativeMatching(BundlingAlgorithm):
         ``"pure"`` or ``"mixed"``.
     k:
         Maximum bundle size (``None`` = unbounded, the Table 3 default).
-    backend:
-        Matching backend (see :mod:`repro.matching.backends`).
     co_support_pruning, new_vertex_pruning:
         The two pruning rules; on by default, switchable for ablations.
     max_iterations:
@@ -65,7 +63,6 @@ class IterativeMatching(BundlingAlgorithm):
         self,
         strategy: str = PURE,
         k: int | None = None,
-        backend: str = "blossom",
         co_support_pruning: bool = True,
         new_vertex_pruning: bool = True,
         max_iterations: int | None = None,
@@ -74,7 +71,6 @@ class IterativeMatching(BundlingAlgorithm):
     ) -> None:
         self.strategy = check_strategy(strategy)
         self.k = check_max_size(k)
-        self.backend = backend
         self.co_support_pruning = co_support_pruning
         self.new_vertex_pruning = new_vertex_pruning
         self.max_iterations = max_iterations
@@ -143,7 +139,7 @@ class IterativeMatching(BundlingAlgorithm):
                 if not edges:
                     break
 
-                matched = solve_matching(edges, backend=self.backend)
+                matched = solve_matching(edges)
                 total_gain = sum(gain_of[pair] for pair in matched)
                 if not matched or total_gain <= 0:
                     break

@@ -7,7 +7,9 @@ bundle via Equation 1.
 
 :class:`Bundle` is a thin immutable wrapper around a sorted tuple of item
 indices.  It is hashable (usable as a cache key), supports set algebra, and
-renders compactly.
+renders compactly.  It also carries its items as an integer bit mask, so
+the set tests behind the laminarity checks (``intersects``, ``issubset``,
+``isdisjoint``) are single integer ANDs.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ class Bundle:
     (0, 1)
     """
 
-    __slots__ = ("_items", "_hash")
+    __slots__ = ("_items", "_hash", "_mask")
 
     def __init__(self, items: Iterable[int]) -> None:
         unique = sorted(set(items))
@@ -42,6 +44,9 @@ class Bundle:
                 raise ValidationError(f"bundle items must be >= 0, got {item}")
         self._items: tuple[int, ...] = tuple(int(item) for item in unique)
         self._hash = hash(self._items)
+        # The item bit mask, built on first use (0: not built yet; a
+        # bundle is never empty, so a built mask is never 0).
+        self._mask = 0
 
     @classmethod
     def of(cls, *items: int) -> "Bundle":
@@ -71,19 +76,26 @@ class Bundle:
         """The merged bundle ``self ∪ other``."""
         return Bundle(self._items + other._items)
 
+    def _bits(self) -> int:
+        """The items as an integer: bit i is set iff item i is in the bundle."""
+        mask = self._mask
+        if not mask:
+            for item in self._items:
+                mask |= 1 << item
+            self._mask = mask
+        return mask
+
     def intersects(self, other: "Bundle") -> bool:
         """True if the bundles share at least one item."""
-        mine = set(self._items)
-        return any(item in mine for item in other._items)
+        return self._bits() & other._bits() != 0
 
     def issubset(self, other: "Bundle") -> bool:
         """True if every item of *self* belongs to *other*."""
-        theirs = set(other._items)
-        return all(item in theirs for item in self._items)
+        return self._bits() & ~other._bits() == 0
 
     def isdisjoint(self, other: "Bundle") -> bool:
         """True if the bundles share no item."""
-        return not self.intersects(other)
+        return self._bits() & other._bits() == 0
 
     def __or__(self, other: "Bundle") -> "Bundle":
         return self.union(other)

@@ -1,12 +1,13 @@
 """Graph-matching substrate (stand-in for the paper's LEMON dependency)."""
 
-from repro.matching.backends import BACKENDS, solve_matching
-from repro.matching.blossom import matching_pairs, matching_weight, max_weight_matching
-from repro.matching.graph import WeightedGraph
+from repro.matching.blossom import (
+    matching_pairs,
+    matching_weight,
+    max_weight_matching,
+    solve_matching,
+)
 
 __all__ = [
-    "BACKENDS",
-    "WeightedGraph",
     "matching_pairs",
     "matching_weight",
     "max_weight_matching",

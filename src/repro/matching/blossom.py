@@ -8,22 +8,60 @@ algorithms for finding maximal matchings in graphs", ACM Computing Surveys
 1986) in the style popularized by Joris van Rantwijk's reference
 implementation.
 
-The entry point is :func:`max_weight_matching`, which accepts a list of
-``(u, v, weight)`` edges and returns the matching as a ``mate`` list.
-Weights may be any finite numbers; only matchings with non-negative total
-weight are of interest to the bundling reduction (positive-gain edges), but
-the algorithm itself is fully general and optionally maximizes cardinality.
+The entry points are :func:`solve_matching` (the bundling reduction's call:
+edges in, matched pairs out) and :func:`max_weight_matching`, which returns
+the matching as a ``mate`` list.  Weights may be any finite numbers and are
+taken as float64; only matchings with non-negative total weight are of
+interest to the bundling reduction (positive-gain edges), but the algorithm
+itself is fully general and optionally maximizes cardinality.
 
-Correctness is guarded by an optional expensive verification of the dual
-optimality conditions (:func:`verify_optimum` in the tests) and by
-cross-checks against networkx and brute force in the test-suite.
+The inner loops run on numpy arrays:
+
+* **Scans.**  Edge endpoints and doubled weights ``2·w`` are arrays, and
+  the duals of vertices and blossoms are one float64 array.  Only a dual
+  step changes the duals, so at the start of a stage and after each dual
+  step one expression computes every edge's slack ``dual[i] + dual[j] −
+  2w`` — the same float operations as a per-edge ``slack()`` call, so the
+  same bits — and marks the edges that are tight or already allowed.  Each
+  vertex holds its incident remote endpoints and edge ids as arrays; a scan
+  gathers its edges' marks, and Python walks only the marked edges, in
+  neighbour order.
+* **Dual steps.**  No per-vertex or per-blossom least-slack edge is kept.
+  Each dual step labels every edge end with its top-level blossom's label
+  and finds δ2 (least slack over S–free edges) and δ3 (least slack / 2
+  over S–S edges between different blossoms) in one vectorized pass over
+  all edges; δ1 and δ4 read the dual array.  Masked adds then apply the
+  step.  A dual step costs O(m) array work plus O(n) to gather labels,
+  instead of Python loops over every vertex and blossom.
+
+Tie rule: among edges of equal least slack, the lowest edge id wins.  The
+optimum's weight never depends on it, but among equal-weight optima the
+matching returned can differ from that of van Rantwijk's per-blossom
+best-edge bookkeeping, which this module used before.
+
+Correctness is guarded by cross-checks against networkx and brute force in
+the test-suite.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import ValidationError
 
 INF = float("inf")
+
+
+def solve_matching(edges: list[tuple[int, int, float]]) -> set[tuple[int, int]]:
+    """Maximum-weight matching over weighted edges, as ``(u, v)`` pairs, ``u < v``.
+
+    Maximizes total weight *without* a cardinality constraint: vertices
+    stay unmatched when no edge improves the objective, which is exactly
+    how singleton bundles survive the 2-sized bundling reduction.
+    """
+    if not edges:
+        return set()
+    return matching_pairs(max_weight_matching(edges))
 
 
 def max_weight_matching(edges, maxcardinality: bool = False) -> list[int]:
@@ -44,29 +82,35 @@ def max_weight_matching(edges, maxcardinality: bool = False) -> list[int]:
     list[int]
         ``mate`` list: ``mate[v]`` is the vertex matched to ``v`` or ``-1``.
     """
-    edges = [(int(i), int(j), wt) for (i, j, wt) in edges]
+    edges = list(edges)
     if not edges:
         return []
-    for (i, j, _wt) in edges:
-        if i == j:
-            raise ValidationError(f"self-loop edge ({i}, {j}) is not allowed")
-        if i < 0 or j < 0:
-            raise ValidationError("vertex ids must be non-negative")
+    heads, tails, weights = zip(*edges)
+    head = np.array(heads, dtype=np.int64)
+    tail = np.array(tails, dtype=np.int64)
+    loops = np.flatnonzero(head == tail)
+    if loops.size:
+        raise ValidationError(f"self-loop edge {edges[loops[0]][:2]} is not allowed")
+    if min(head.min(), tail.min()) < 0:
+        raise ValidationError("vertex ids must be non-negative")
 
-    nedge = len(edges)
-    nvertex = 1 + max(max(i, j) for (i, j, _wt) in edges)
-
-    maxweight = max(0, max(wt for (_i, _j, wt) in edges))
+    nvertex = 1 + int(max(head.max(), tail.max()))
+    weight = np.array(weights, dtype=np.float64)
+    weight2 = 2 * weight
 
     # endpoint[p] is the vertex at endpoint p; edge k has endpoints 2k, 2k+1.
-    endpoint = [edges[p // 2][p % 2] for p in range(2 * nedge)]
+    endpoints = np.column_stack((head, tail)).ravel()
+    endpoint = endpoints.tolist()
 
-    # neighbend[v] lists the remote endpoints of edges incident to v.
-    neighbend: list[list[int]] = [[] for _ in range(nvertex)]
-    for k in range(nedge):
-        i, j, _wt = edges[k]
-        neighbend[i].append(2 * k + 1)
-        neighbend[j].append(2 * k)
+    # Per vertex, in edge order: the remote endpoints of its incident edges
+    # (neighbend) and their edge ids.
+    owner = np.column_stack((tail, head)).ravel()
+    order = np.argsort(owner, kind="stable")
+    bounds = np.cumsum(np.bincount(owner, minlength=nvertex)).tolist()
+    spans = list(zip([0] + bounds[:-1], bounds))
+    edge = order >> 1
+    neighbend = [order[start:stop] for (start, stop) in spans]
+    neighbedge = [edge[start:stop] for (start, stop) in spans]
 
     # mate[v] is the remote endpoint of v's matched edge, or -1.
     mate = [-1] * nvertex
@@ -92,25 +136,20 @@ def max_weight_matching(edges, maxcardinality: bool = False) -> list[int]:
     # blossomendps[b] lists the endpoints on b's connecting edges.
     blossomendps: list[list[int] | None] = [None] * (2 * nvertex)
 
-    # bestedge[b] is the least-slack edge to a different S-blossom, or -1.
-    bestedge = [-1] * (2 * nvertex)
-
-    # blossombestedges[b] caches least-slack edges per S-blossom (for b S).
-    blossombestedges: list[list[int] | None] = [None] * (2 * nvertex)
-
     unusedblossoms = list(range(nvertex, 2 * nvertex))
 
-    # Dual variables: u(v) for vertices, z(b) for blossoms.
-    dualvar = [maxweight] * nvertex + [0] * nvertex
+    # Dual variables: u(v) for vertices, then z(b) for blossoms.
+    dual = np.zeros(2 * nvertex)
+    dual[:nvertex] = max(0.0, weight.max())
 
     # allowedge[k] is True when edge k has zero slack (usable in the tree).
-    allowedge = [False] * nedge
+    allowedge = np.zeros(len(edges), dtype=bool)
+
+    def usable_edges() -> np.ndarray:
+        """Edges a scan may walk under the current duals: allowed or tight."""
+        return allowedge | (dual[head] + dual[tail] - weight2 <= 0)
 
     queue: list[int] = []
-
-    def slack(k: int) -> float:
-        i, j, wt = edges[k]
-        return dualvar[i] + dualvar[j] - 2 * wt
 
     def blossom_leaves(b: int):
         if b < nvertex:
@@ -129,7 +168,6 @@ def max_weight_matching(edges, maxcardinality: bool = False) -> list[int]:
         assert label[w] == 0 and label[b] == 0
         label[w] = label[b] = t
         labelend[w] = labelend[b] = p
-        bestedge[w] = bestedge[b] = -1
         if t == 1:
             queue.extend(blossom_leaves(b))
         elif t == 2:
@@ -165,7 +203,7 @@ def max_weight_matching(edges, maxcardinality: bool = False) -> list[int]:
         return base
 
     def add_blossom(base: int, k: int) -> None:
-        (v, w, _wt) = edges[k]
+        v, w = endpoint[2 * k], endpoint[2 * k + 1]
         bb = inblossom[base]
         bv = inblossom[v]
         bw = inblossom[w]
@@ -200,38 +238,11 @@ def max_weight_matching(edges, maxcardinality: bool = False) -> list[int]:
         assert label[bb] == 1
         label[b] = 1
         labelend[b] = labelend[bb]
-        dualvar[b] = 0
+        dual[b] = 0
         for leaf in blossom_leaves(b):
             if label[inblossom[leaf]] == 2:
                 queue.append(leaf)
             inblossom[leaf] = b
-        bestedgeto = [-1] * (2 * nvertex)
-        for bv in path:
-            if blossombestedges[bv] is None:
-                nblists = [
-                    [p // 2 for p in neighbend[leaf]] for leaf in blossom_leaves(bv)
-                ]
-            else:
-                nblists = [blossombestedges[bv]]
-            for nblist in nblists:
-                for k2 in nblist:
-                    (i, j, _w2) = edges[k2]
-                    if inblossom[j] == b:
-                        i, j = j, i
-                    bj = inblossom[j]
-                    if (
-                        bj != b
-                        and label[bj] == 1
-                        and (bestedgeto[bj] == -1 or slack(k2) < slack(bestedgeto[bj]))
-                    ):
-                        bestedgeto[bj] = k2
-            blossombestedges[bv] = None
-            bestedge[bv] = -1
-        blossombestedges[b] = [k2 for k2 in bestedgeto if k2 != -1]
-        bestedge[b] = -1
-        for k2 in blossombestedges[b]:
-            if bestedge[b] == -1 or slack(k2) < slack(bestedge[b]):
-                bestedge[b] = k2
 
     def expand_blossom(b: int, endstage: bool) -> None:
         childs = blossomchilds[b]
@@ -241,7 +252,7 @@ def max_weight_matching(edges, maxcardinality: bool = False) -> list[int]:
             blossomparent[s] = -1
             if s < nvertex:
                 inblossom[s] = s
-            elif endstage and dualvar[s] == 0:
+            elif endstage and dual[s] == 0:
                 expand_blossom(s, endstage)
             else:
                 for leaf in blossom_leaves(s):
@@ -270,7 +281,6 @@ def max_weight_matching(edges, maxcardinality: bool = False) -> list[int]:
             bv = childs[j]
             label[endpoint[p ^ 1]] = label[bv] = 2
             labelend[endpoint[p ^ 1]] = labelend[bv] = p
-            bestedge[bv] = -1
             j += jstep
             while childs[j] != entrychild:
                 bv = childs[j]
@@ -292,8 +302,6 @@ def max_weight_matching(edges, maxcardinality: bool = False) -> list[int]:
         label[b] = labelend[b] = -1
         blossomchilds[b] = blossomendps[b] = None
         blossombase[b] = -1
-        blossombestedges[b] = None
-        bestedge[b] = -1
         unusedblossoms.append(b)
 
     def augment_blossom(b: int, v: int) -> None:
@@ -331,8 +339,7 @@ def max_weight_matching(edges, maxcardinality: bool = False) -> list[int]:
         assert blossombase[b] == v
 
     def augment_matching(k: int) -> None:
-        (v, w, _wt) = edges[k]
-        for (s, p) in ((v, 2 * k + 1), (w, 2 * k)):
+        for (s, p) in ((endpoint[2 * k], 2 * k + 1), (endpoint[2 * k + 1], 2 * k)):
             while True:
                 bs = inblossom[s]
                 assert label[bs] == 1
@@ -357,11 +364,9 @@ def max_weight_matching(edges, maxcardinality: bool = False) -> list[int]:
     # Main loop: one stage per augmentation.
     for _t in range(nvertex):
         label[:] = [0] * (2 * nvertex)
-        bestedge[:] = [-1] * (2 * nvertex)
-        for i in range(nvertex, 2 * nvertex):
-            blossombestedges[i] = None
-        allowedge[:] = [False] * nedge
-        queue[:] = []
+        allowedge.fill(False)
+        usable = usable_edges()
+        queue.clear()
 
         for v in range(nvertex):
             if mate[v] == -1 and label[inblossom[v]] == 0:
@@ -372,37 +377,26 @@ def max_weight_matching(edges, maxcardinality: bool = False) -> list[int]:
             while queue and not augmented:
                 v = queue.pop()
                 assert label[inblossom[v]] == 1
-                for p in neighbend[v]:
-                    k = p // 2
+                for p in neighbend[v][usable[neighbedge[v]]].tolist():
+                    k = p >> 1
                     w = endpoint[p]
                     if inblossom[v] == inblossom[w]:
                         continue
-                    if not allowedge[k]:
-                        kslack = slack(k)
-                        if kslack <= 0:
-                            allowedge[k] = True
-                    if allowedge[k]:
-                        if label[inblossom[w]] == 0:
-                            assign_label(w, 2, p ^ 1)
-                        elif label[inblossom[w]] == 1:
-                            base = scan_blossom(v, w)
-                            if base >= 0:
-                                add_blossom(base, k)
-                            else:
-                                augment_matching(k)
-                                augmented = True
-                                break
-                        elif label[w] == 0:
-                            assert label[inblossom[w]] == 2
-                            label[w] = 2
-                            labelend[w] = p ^ 1
+                    allowedge[k] = True
+                    if label[inblossom[w]] == 0:
+                        assign_label(w, 2, p ^ 1)
                     elif label[inblossom[w]] == 1:
-                        b = inblossom[v]
-                        if bestedge[b] == -1 or kslack < slack(bestedge[b]):
-                            bestedge[b] = k
+                        base = scan_blossom(v, w)
+                        if base >= 0:
+                            add_blossom(base, k)
+                        else:
+                            augment_matching(k)
+                            augmented = True
+                            break
                     elif label[w] == 0:
-                        if bestedge[w] == -1 or kslack < slack(bestedge[w]):
-                            bestedge[w] = k
+                        assert label[inblossom[w]] == 2
+                        label[w] = 2
+                        labelend[w] = p ^ 1
 
             if augmented:
                 break
@@ -412,71 +406,73 @@ def max_weight_matching(edges, maxcardinality: bool = False) -> list[int]:
             delta = deltaedge = deltablossom = None
             if not maxcardinality:
                 deltatype = 1
-                delta = min(dualvar[:nvertex])
-            for v in range(nvertex):
-                if label[inblossom[v]] == 0 and bestedge[v] != -1:
-                    d = slack(bestedge[v])
-                    if deltatype == -1 or d < delta:
-                        delta = d
-                        deltatype = 2
-                        deltaedge = bestedge[v]
-            for b in range(2 * nvertex):
-                if blossomparent[b] == -1 and label[b] == 1 and bestedge[b] != -1:
-                    kslack = slack(bestedge[b])
-                    d = kslack / 2
-                    if deltatype == -1 or d < delta:
-                        delta = d
-                        deltatype = 3
-                        deltaedge = bestedge[b]
-            for b in range(nvertex, 2 * nvertex):
-                if (
-                    blossombase[b] >= 0
-                    and blossomparent[b] == -1
-                    and label[b] == 2
-                    and (deltatype == -1 or dualvar[b] < delta)
-                ):
-                    delta = dualvar[b]
-                    deltatype = 4
-                    deltablossom = b
+                delta = dual[:nvertex].min()
+            top = np.array(inblossom)
+            labels = np.array(label)
+            vertexlabel = labels[top]
+            headlabel = vertexlabel[head]
+            taillabel = vertexlabel[tail]
+            slack = dual[head] + dual[tail] - weight2
+            # delta2: least slack on an edge between an S-vertex and a free vertex.
+            candidates = np.where(headlabel + taillabel == 1, slack, INF)
+            k = int(candidates.argmin())
+            if candidates[k] < INF and (deltatype == -1 or candidates[k] < delta):
+                delta = candidates[k]
+                deltatype = 2
+                deltaedge = k
+            # delta3: half the least slack on an edge between two S-blossoms.
+            crossing = (headlabel * taillabel == 1) & (top[head] != top[tail])
+            candidates = np.where(crossing, slack, INF)
+            k = int(candidates.argmin())
+            if candidates[k] < INF and (deltatype == -1 or candidates[k] / 2 < delta):
+                delta = candidates[k] / 2
+                deltatype = 3
+                deltaedge = k
+            # delta4: least dual of a top-level T-blossom.
+            istop = np.zeros(2 * nvertex, dtype=bool)
+            istop[top] = True
+            blossomlabel = np.where(istop[nvertex:], labels[nvertex:], 0)
+            candidates = np.where(blossomlabel == 2, dual[nvertex:], INF)
+            b = int(candidates.argmin())
+            if candidates[b] < INF and (deltatype == -1 or candidates[b] < delta):
+                delta = candidates[b]
+                deltatype = 4
+                deltablossom = nvertex + b
             if deltatype == -1:
                 # No further progress possible (maxcardinality path).
                 deltatype = 1
-                delta = max(0, min(dualvar[:nvertex]))
+                delta = max(0, dual[:nvertex].min())
 
-            for v in range(nvertex):
-                if label[inblossom[v]] == 1:
-                    dualvar[v] -= delta
-                elif label[inblossom[v]] == 2:
-                    dualvar[v] += delta
-            for b in range(nvertex, 2 * nvertex):
-                if blossombase[b] >= 0 and blossomparent[b] == -1:
-                    if label[b] == 1:
-                        dualvar[b] += delta
-                    elif label[b] == 2:
-                        dualvar[b] -= delta
+            vertexdual = dual[:nvertex]
+            vertexdual[vertexlabel == 1] -= delta
+            vertexdual[vertexlabel == 2] += delta
+            blossomdual = dual[nvertex:]
+            blossomdual[blossomlabel == 1] += delta
+            blossomdual[blossomlabel == 2] -= delta
 
             if deltatype == 1:
                 break
             elif deltatype == 2:
                 allowedge[deltaedge] = True
-                (i, j, _wt) = edges[deltaedge]
+                i, j = endpoint[2 * deltaedge], endpoint[2 * deltaedge + 1]
                 if label[inblossom[i]] == 0:
                     i, j = j, i
                 assert label[inblossom[i]] == 1
                 queue.append(i)
             elif deltatype == 3:
                 allowedge[deltaedge] = True
-                (i, j, _wt) = edges[deltaedge]
+                i = endpoint[2 * deltaedge]
                 assert label[inblossom[i]] == 1
                 queue.append(i)
             elif deltatype == 4:
                 expand_blossom(deltablossom, False)
+            usable = usable_edges()
 
         if not augmented:
             break
 
         for b in range(nvertex, 2 * nvertex):
-            if blossomparent[b] == -1 and blossombase[b] >= 0 and label[b] == 1 and dualvar[b] == 0:
+            if blossomparent[b] == -1 and blossombase[b] >= 0 and label[b] == 1 and dual[b] == 0:
                 expand_blossom(b, True)
 
     for v in range(nvertex):

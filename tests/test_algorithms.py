@@ -75,9 +75,15 @@ class TestOptimal2:
         exact = OptimalWSP(method="dp", k=2).fit(engine)
         assert two.expected_revenue == pytest.approx(exact.expected_revenue, rel=1e-9)
 
-    def test_backends_agree(self, medium_engine):
-        ours = Optimal2Bundling(strategy="pure", backend="blossom").fit(medium_engine)
-        nx = Optimal2Bundling(strategy="pure", backend="networkx").fit(medium_engine)
+    def test_backends_agree(self, medium_engine, monkeypatch):
+        """Blossom and the networkx oracle yield the same optimal revenue."""
+        from matching_oracles import networkx_matching
+
+        import repro.algorithms.matching2 as matching2
+
+        ours = Optimal2Bundling(strategy="pure").fit(medium_engine)
+        monkeypatch.setattr(matching2, "solve_matching", networkx_matching)
+        nx = Optimal2Bundling(strategy="pure").fit(medium_engine)
         assert ours.expected_revenue == pytest.approx(nx.expected_revenue, rel=1e-9)
 
     def test_mixed_offers_include_all_components(self, medium_engine):
@@ -263,3 +269,12 @@ class TestRegistry:
         assert "minsup" in algorithm_options("mixed_freqitemset")
         with pytest.raises(ValidationError, match="unknown algorithm"):
             algorithm_options("quantum_bundling")
+
+    @pytest.mark.parametrize("name", ["pure_matching", "mixed_matching2"])
+    def test_matching_backend_option_removed(self, name):
+        """Blossom is the only matching solver, so ``backend`` is no option."""
+        from repro.algorithms.registry import algorithm_options
+
+        assert "backend" not in algorithm_options(name)
+        with pytest.raises(ValidationError, match="does not accept"):
+            make_algorithm(name, backend="blossom")

@@ -1,37 +1,18 @@
-"""Tests for the graph-matching substrate (blossom + backends)."""
+"""Tests for the graph-matching substrate (blossom against exact oracles)."""
+
+import sys
 
 import numpy as np
 import pytest
+from matching_oracles import brute_force_matching, networkx_matching, pairs_weight
 
 from repro.errors import ValidationError
-from repro.matching.backends import BACKENDS, _brute_force, solve_matching
-from repro.matching.blossom import matching_pairs, matching_weight, max_weight_matching
-from repro.matching.graph import WeightedGraph
-
-
-class TestWeightedGraph:
-    def test_add_and_list_edges(self):
-        graph = WeightedGraph(3)
-        graph.add_edge(0, 1, 2.5)
-        graph.add_edge(1, 2, 1.0)
-        assert graph.n_edges == 2
-        assert graph.edges[0] == (0, 1, 2.5)
-
-    def test_rejects_self_loop(self):
-        graph = WeightedGraph(2)
-        with pytest.raises(ValidationError):
-            graph.add_edge(1, 1, 1.0)
-
-    def test_rejects_duplicate(self):
-        graph = WeightedGraph(3)
-        graph.add_edge(0, 1, 1.0)
-        with pytest.raises(ValidationError):
-            graph.add_edge(1, 0, 2.0)
-
-    def test_rejects_out_of_range(self):
-        graph = WeightedGraph(2)
-        with pytest.raises(ValidationError):
-            graph.add_edge(0, 5, 1.0)
+from repro.matching.blossom import (
+    matching_pairs,
+    matching_weight,
+    max_weight_matching,
+    solve_matching,
+)
 
 
 class TestBlossomKnownCases:
@@ -65,9 +46,7 @@ class TestBlossomKnownCases:
         ]
         mate = max_weight_matching(edges)
         weight = matching_weight(edges, mate)
-        brute = _brute_force(edges)
-        lookup = {(min(u, v), max(u, v)): w for u, v, w in edges}
-        assert weight == pytest.approx(sum(lookup[p] for p in brute))
+        assert weight == pytest.approx(pairs_weight(edges, brute_force_matching(edges)))
 
     def test_maxcardinality_variant(self):
         # With maxcardinality, vertex 2 must be matched even at a loss.
@@ -111,13 +90,10 @@ class TestBlossomRandomized:
                 continue
             mate = max_weight_matching(edges)
             ours = matching_weight(edges, mate)
-            lookup = {(min(u, v), max(u, v)): w for u, v, w in edges}
-            brute = sum(lookup[p] for p in _brute_force(edges))
+            brute = pairs_weight(edges, brute_force_matching(edges))
             assert ours == pytest.approx(brute), edges
 
     def test_agrees_with_networkx_on_larger_graphs(self, rng):
-        import networkx as nx
-
         for _trial in range(10):
             n = int(rng.integers(12, 40))
             edges = []
@@ -131,12 +107,7 @@ class TestBlossomRandomized:
                 edges.append((int(key[0]), int(key[1]), float(rng.integers(1, 100))))
             mate = max_weight_matching(edges)
             ours = matching_weight(edges, mate)
-            graph = nx.Graph()
-            for u, v, w in edges:
-                graph.add_edge(u, v, weight=w)
-            reference = nx.algorithms.matching.max_weight_matching(graph)
-            lookup = {(min(u, v), max(u, v)): w for u, v, w in edges}
-            theirs = sum(lookup[(min(u, v), max(u, v))] for u, v in reference)
+            theirs = pairs_weight(edges, networkx_matching(edges))
             assert ours == pytest.approx(theirs)
 
     def test_matching_is_valid(self, rng):
@@ -159,6 +130,8 @@ class TestBlossomRandomized:
 
 
 class TestBackends:
+    """``solve_matching`` (always blossom) against the two test oracles."""
+
     def test_all_backends_same_weight(self, rng):
         edges = [
             (i, j, float(rng.integers(1, 30)))
@@ -166,21 +139,125 @@ class TestBackends:
             for j in range(i + 1, 8)
             if rng.random() < 0.6
         ]
-        lookup = {(min(u, v), max(u, v)): w for u, v, w in edges}
-        weights = {
-            backend: sum(lookup[p] for p in solve_matching(edges, backend))
-            for backend in BACKENDS
-        }
-        assert len({round(w, 9) for w in weights.values()}) == 1, weights
+        weights = [
+            pairs_weight(edges, solve(edges))
+            for solve in (solve_matching, networkx_matching, brute_force_matching)
+        ]
+        assert len({round(w, 9) for w in weights}) == 1, weights
 
     def test_unknown_backend(self):
-        with pytest.raises(ValidationError):
-            solve_matching([(0, 1, 1.0)], backend="quantum")
+        """Blossom is the only solver: there is no backend to choose."""
+        with pytest.raises(TypeError):
+            solve_matching([(0, 1, 1.0)], backend="networkx")
 
     def test_empty_edges(self):
-        assert solve_matching([], "blossom") == set()
+        assert solve_matching([]) == set()
 
     def test_brute_force_edge_limit(self):
         edges = [(i, i + 1, 1.0) for i in range(30)]
-        with pytest.raises(ValidationError):
-            _brute_force(edges)
+        with pytest.raises(ValueError):
+            brute_force_matching(edges)
+
+
+def _dense_graph(rng, n_vertices: int, density: float = 0.97) -> list:
+    """A near-complete graph with lognormal "gain" weights, like a first
+    matching round of a wide mixed fit."""
+    return [
+        (i, j, float(rng.lognormal(mean=0.0, sigma=1.5)))
+        for i in range(n_vertices)
+        for j in range(i + 1, n_vertices)
+        if rng.random() < density
+    ]
+
+
+def _on_grid(edges, step: float = 0.25) -> list:
+    """The same graph with weights rounded to a coarse grid: many ties."""
+    return [(u, v, step * max(1.0, round(w / step))) for (u, v, w) in edges]
+
+
+def _assert_optimal(edges, maxcardinality: bool) -> list[int]:
+    mate = max_weight_matching(edges, maxcardinality=maxcardinality)
+    present = {(min(u, v), max(u, v)) for (u, v, _w) in edges}
+    for u, partner in enumerate(mate):
+        if partner >= 0:
+            assert mate[partner] == u
+            assert (min(u, partner), max(u, partner)) in present
+    reference = networkx_matching(edges, maxcardinality=maxcardinality)
+    assert matching_weight(edges, mate) == pytest.approx(
+        pairs_weight(edges, reference), rel=1e-9
+    )
+    if maxcardinality:
+        assert len(matching_pairs(mate)) == len(reference)
+    return mate
+
+
+def _expansions(edges) -> int:
+    """How many times the dual step expanded a T-blossom (delta4)."""
+    seen = []
+
+    def hook(frame, event, _arg):
+        if (
+            event == "call"
+            and frame.f_code.co_name == "expand_blossom"
+            and not frame.f_locals["endstage"]
+        ):
+            seen.append(frame.f_locals["b"])
+
+    sys.setprofile(hook)
+    try:
+        max_weight_matching(edges)
+    finally:
+        sys.setprofile(None)
+    return len(seen)
+
+
+#: Graphs that relabel a blossom as T and expand it in a dual step, from
+#: van Rantwijk's test set for the reference implementation.
+EXPANDING_GRAPHS = {
+    "s_blossom_relabel_expand": [
+        (1, 2, 23), (1, 5, 22), (1, 6, 15), (2, 3, 25), (3, 4, 22), (4, 5, 25),
+        (4, 8, 14), (5, 7, 13),
+    ],
+    "nested_s_blossom_relabel_expand": [
+        (1, 2, 19), (1, 3, 20), (1, 8, 8), (2, 3, 25), (2, 4, 18), (3, 5, 18),
+        (4, 5, 13), (4, 7, 7), (5, 6, 7),
+    ],
+    "relabel_t_more_than_one_way": [
+        (1, 2, 45), (1, 5, 45), (2, 3, 50), (3, 4, 45), (4, 5, 50), (1, 6, 30),
+        (3, 9, 35), (4, 8, 35), (5, 7, 26), (9, 10, 5),
+    ],
+    "expand_to_new_least_slack_edge": [
+        (1, 2, 45), (1, 5, 45), (2, 3, 50), (3, 4, 45), (4, 5, 50), (1, 6, 30),
+        (3, 9, 35), (4, 8, 28), (5, 7, 26), (9, 10, 5),
+    ],
+    "inner_blossom_on_augmenting_path": [
+        (1, 2, 45), (1, 7, 45), (2, 3, 50), (3, 4, 45), (4, 5, 95), (4, 6, 94),
+        (5, 6, 94), (6, 7, 50), (1, 8, 30), (3, 11, 35), (5, 9, 36), (7, 10, 26),
+        (11, 12, 5),
+    ],
+}
+
+
+class TestDenseGraphs:
+    """Near-complete graphs of the size a wide fit's first round produces."""
+
+    @pytest.mark.parametrize("maxcardinality", [False, True])
+    @pytest.mark.parametrize("n_vertices", [60, 90, 120])
+    def test_lognormal_gains(self, n_vertices, maxcardinality):
+        rng = np.random.default_rng(n_vertices)
+        _assert_optimal(_dense_graph(rng, n_vertices), maxcardinality)
+
+    @pytest.mark.parametrize("maxcardinality", [False, True])
+    @pytest.mark.parametrize("n_vertices", [60, 90, 120])
+    def test_tie_heavy_grid_weights(self, n_vertices, maxcardinality):
+        rng = np.random.default_rng(n_vertices)
+        edges = _on_grid(_dense_graph(rng, n_vertices))
+        assert len({w for (_u, _v, w) in edges}) < len(edges) // 8
+        _assert_optimal(edges, maxcardinality)
+
+    @pytest.mark.parametrize("maxcardinality", [False, True])
+    @pytest.mark.parametrize("name", sorted(EXPANDING_GRAPHS))
+    def test_blossom_expansion(self, name, maxcardinality):
+        edges = [(u, v, float(w)) for (u, v, w) in EXPANDING_GRAPHS[name]]
+        assert _expansions(edges) > 0
+        _assert_optimal(edges, maxcardinality)

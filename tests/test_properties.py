@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from matching_oracles import brute_force_matching, pairs_weight
 
 from repro.core.adoption import SigmoidAdoption, StepAdoption
 from repro.core.bundle import Bundle
@@ -12,7 +13,6 @@ from repro.core.revenue import RevenueEngine
 from repro.core.wtp import WTPMatrix
 from repro.ilp.branch_and_bound import solve_branch_and_bound, solve_greedy
 from repro.ilp.model import SetPackingProblem
-from repro.matching.backends import _brute_force
 from repro.matching.blossom import matching_weight, max_weight_matching
 
 wtp_vectors = arrays(
@@ -92,9 +92,39 @@ def test_blossom_matches_brute_force(data):
         return
     mate = max_weight_matching(edges)
     ours = matching_weight(edges, mate)
-    lookup = {(min(u, v), max(u, v)): w for u, v, w in edges}
-    brute = sum(lookup[p] for p in _brute_force(edges))
+    brute = pairs_weight(edges, brute_force_matching(edges))
     assert abs(ours - brute) < 1e-9
+
+
+@given(
+    data=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=7),
+            st.integers(min_value=0, max_value=7),
+            st.integers(min_value=-1, max_value=3),
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_blossom_matches_brute_force_with_tied_weights(data):
+    """Weights on a 0.25 grid with five values: most edges tie with others."""
+    edges = []
+    seen = set()
+    for u, v, w in data:
+        key = (min(u, v), max(u, v))
+        if u == v or key in seen:
+            continue
+        seen.add(key)
+        edges.append((key[0], key[1], 0.25 * w))
+    if not edges:
+        return
+    mate = max_weight_matching(edges)
+    for u, partner in enumerate(mate):
+        assert partner == -1 or mate[partner] == u
+    brute = pairs_weight(edges, brute_force_matching(edges))
+    assert abs(matching_weight(edges, mate) - brute) < 1e-9
 
 
 @given(
