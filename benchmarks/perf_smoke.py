@@ -125,7 +125,7 @@ def run_scans(config: EngineConfig, wtp) -> dict:
     gains, merged = engine.pure_merge_gains(singles, pairs)
     pure_wall = time.perf_counter() - started
 
-    states = [engine.offer_state(offer) for offer in singles]
+    states = engine.offer_states(singles)
     started = time.perf_counter()
     merges = engine.mixed_merge_gains(singles, states, pairs)
     mixed_wall = time.perf_counter() - started

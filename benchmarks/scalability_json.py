@@ -27,6 +27,10 @@ Backends
     Same, with ``mixed_kernel="sorted"`` — the O(M + T)-per-pair
     step-histogram kernel that replaces the band kernel's O(T'·M) per-pair
     level scan.
+``streaming-mixed-sorted``
+    The sorted kernel with float64 subtree states: the twin of
+    ``streaming-lean-mixed-sorted`` that measures what ``state_dtype=
+    "float32"`` saves (``summary.lean_vs_float64_states``).
 
 Every cell records ``cpu_count``; the CI ``perf-smoke`` job gates the
 threaded-vs-serial speedup on a real 2+-core runner.
@@ -44,10 +48,16 @@ re-measuring them.  A bare ``--factors`` runs no pure cells::
     PYTHONPATH=src python benchmarks/scalability_json.py \
         --factors --mixed-factors 250 \
         --mixed-backends streaming-lean-mixed streaming-lean-mixed-sorted \
+        streaming-mixed-sorted \
         --merge-existing
     PYTHONPATH=src python benchmarks/scalability_json.py \
         --factors --mixed-factors 2500 \
         --mixed-backends streaming-lean-mixed-sorted-w4 --merge-existing
+
+``ru_maxrss`` is the process high-water mark, so a cell's RSS includes
+every cell run before it in the same invocation; for per-cell RSS, run
+one cell per invocation, each with ``--merge-existing`` (the committed
+100k and 1M cells were recorded that way).
 
 The matching heuristic is capped at two iterations (one for the 1M mixed
 cell): the first iteration's full pair scan is exactly the allocation the
@@ -93,6 +103,7 @@ BACKENDS = {
     "streaming-lean-mixed-sorted-w4": EngineConfig(
         state_dtype="float32", n_workers=4, mixed_kernel="sorted"
     ),
+    "streaming-mixed-sorted": EngineConfig(mixed_kernel="sorted"),
 }
 
 
@@ -227,6 +238,26 @@ def summarize(runs: list[dict]) -> dict:
             )
     if kernel_entries:
         summary["mixed_sorted_vs_band"] = kernel_entries
+    # float32 vs float64 subtree states on the sorted kernel, same factor.
+    for factor in factors:
+        lean = cell("mixed", "streaming-lean-mixed-sorted", factor)
+        full = cell("mixed", "streaming-mixed-sorted", factor)
+        if lean and full:
+            summary["lean_vs_float64_states"] = {
+                "clone_factor": factor,
+                "n_users": lean["n_users"],
+                "float64_wall_seconds": full["wall_seconds"],
+                "float32_wall_seconds": lean["wall_seconds"],
+                "float64_tracemalloc_peak_mb": full["tracemalloc_peak_mb"],
+                "float32_tracemalloc_peak_mb": lean["tracemalloc_peak_mb"],
+                "float64_ru_maxrss_mb": full["ru_maxrss_mb"],
+                "float32_ru_maxrss_mb": lean["ru_maxrss_mb"],
+                "revenue_relative_delta": (
+                    abs(lean["expected_revenue"] - full["expected_revenue"])
+                    / max(abs(full["expected_revenue"]), 1e-9)
+                ),
+            }
+            break
     million = [r for r in runs if r["n_users"] >= 1_000_000]
     if million:
         summary["million_user_runs"] = [

@@ -40,6 +40,7 @@ from repro.algorithms.base import (
     check_strategy,
     check_workers_option,
 )
+from repro.core.choice import SubtreeState
 from repro.core.configuration import MixedConfiguration, PureConfiguration
 from repro.core.pricing import PricedBundle
 from repro.core.revenue import RevenueEngine
@@ -212,10 +213,8 @@ class GreedyMerge(BundlingAlgorithm):
             for (id1, id2), gain, offer in zip(id_pairs, gains, merged):
                 if gain > 0:
                     heapq.heappush(heap, (-float(gain), next(sequence), id1, id2, offer))
-                else:
-                    engine.drop_cached([offer.bundle])
         else:
-            pair_states = [states[identifier] for identifier in ids]
+            pair_states = SubtreeState.stack([states[identifier] for identifier in ids])
             merges = engine.mixed_merge_gains(priced, pair_states, index_pairs)
             for (id1, id2), merge in zip(id_pairs, merges):
                 if merge.feasible and merge.gain > 0:
@@ -249,7 +248,6 @@ class GreedyMerge(BundlingAlgorithm):
         """Rebuild the live-bundle table from a checkpoint (inverse of
         :meth:`_checkpoint_state`); the heap is rebuilt separately."""
         from repro.api.checkpoint import _read_float, _read_offer
-        from repro.core.choice import SubtreeState
         from repro.errors import CheckpointError
 
         checkpoint.check_algorithm(self)

@@ -60,7 +60,7 @@ class Optimal2Bundling(BundlingAlgorithm):
                         gain_of[pair] = float(gains[index])
                         edges.append((pair[0], pair[1], gains[index]))
             else:
-                states = [engine.offer_state(offer) for offer in singles]
+                states = engine.offer_states(singles)
                 merges = engine.mixed_merge_gains(singles, states, pairs)
                 payload = {}
                 edges = []

@@ -31,6 +31,7 @@ from repro.algorithms.base import (
     check_strategy,
     check_workers_option,
 )
+from repro.core.choice import SubtreeState
 from repro.core.configuration import MixedConfiguration, PureConfiguration
 from repro.core.pricing import PricedBundle
 from repro.core.revenue import RevenueEngine
@@ -85,9 +86,7 @@ class IterativeMatching(BundlingAlgorithm):
             if resume is None:
                 current: list[PricedBundle] = list(engine.price_components())
                 is_new = [True] * len(current)
-                states = (
-                    [engine.offer_state(offer) for offer in current] if mixed else []
-                )
+                states = engine.offer_states(current) if mixed else None
                 retained: list[PricedBundle] = []
                 revenue_estimate = sum(offer.revenue for offer in current)
                 trace: list[IterationRecord] = []
@@ -145,15 +144,10 @@ class IterativeMatching(BundlingAlgorithm):
                     break
 
                 taken = {index for pair in matched for index in pair}
-                next_current: list[PricedBundle] = []
-                next_new: list[bool] = []
-                next_states: list = []
-                for index, offer in enumerate(current):
-                    if index not in taken:
-                        next_current.append(offer)
-                        next_new.append(False)
-                        if mixed:
-                            next_states.append(states[index])
+                kept = [index for index in range(len(current)) if index not in taken]
+                next_current = [current[index] for index in kept]
+                next_new = [False] * len(kept)
+                merged_states: list[SubtreeState] = []
                 for pair in sorted(matched):
                     next_current.append(offer_of[pair])
                     next_new.append(True)
@@ -161,24 +155,15 @@ class IterativeMatching(BundlingAlgorithm):
                         retained.append(current[pair[0]])
                         retained.append(current[pair[1]])
                         base = states[pair[0]] + states[pair[1]]
-                        next_states.append(engine.merged_mixed_state(merge_of[pair], base))
-                # With new-vertex pruning, unselected merge candidates will
-                # not be revisited: release their cached pricing to keep
-                # memory flat across iterations.  Without it (the ablation
-                # path) every surviving pair is re-proposed next iteration,
-                # so dropping here would force a full re-pricing per round.
-                if self.new_vertex_pruning:
-                    engine.drop_cached(
-                        offer.bundle
-                        for pair, offer in offer_of.items()
-                        if pair not in matched
-                    )
+                        merged_states.append(
+                            engine.merged_mixed_state(merge_of[pair], base)
+                        )
 
                 revenue_estimate += total_gain
                 current = next_current
                 is_new = next_new
                 if mixed:
-                    states = next_states
+                    states = _carry_states(states, kept, merged_states)
                 trace.append(
                     IterationRecord(
                         index=iteration,
@@ -251,16 +236,16 @@ class IterativeMatching(BundlingAlgorithm):
         }
         state.update(_float_fields(revenue_estimate, "revenue_estimate"))
         arrays = {}
-        for index, subtree in enumerate(states):
-            arrays[f"score_{index}"] = subtree.score
-            arrays[f"pay_{index}"] = subtree.pay
+        if states is not None:
+            for index in range(len(current)):
+                arrays[f"score_{index}"] = states.score[index]
+                arrays[f"pay_{index}"] = states.pay[index]
         return state, arrays
 
     def _restore(self, engine: RevenueEngine, checkpoint):
         """Rebuild the vertex list from a checkpoint (inverse of
         :meth:`_checkpoint_state`)."""
         from repro.api.checkpoint import _read_float, _read_offer
-        from repro.core.choice import SubtreeState
         from repro.errors import CheckpointError
 
         checkpoint.check_algorithm(self)
@@ -274,11 +259,12 @@ class IterativeMatching(BundlingAlgorithm):
             raise CheckpointError(
                 f"malformed matching checkpoint state: {exc!r}"
             ) from exc
-        states: list = []
+        states = None
         if self.strategy != PURE:
+            rows = []
             for index in range(len(current)):
                 try:
-                    states.append(
+                    rows.append(
                         SubtreeState(
                             checkpoint.arrays[f"score_{index}"],
                             checkpoint.arrays[f"pay_{index}"],
@@ -288,6 +274,7 @@ class IterativeMatching(BundlingAlgorithm):
                     raise CheckpointError(
                         f"checkpoint is missing the subtree state for vertex {index}"
                     ) from exc
+            states = SubtreeState.stack(rows)
         return (
             current,
             is_new,
@@ -297,3 +284,23 @@ class IterativeMatching(BundlingAlgorithm):
             checkpoint.read_trace(),
             checkpoint.iteration,
         )
+
+
+def _carry_states(
+    states: SubtreeState, kept: list[int], merged: list[SubtreeState]
+) -> SubtreeState:
+    """The next iteration's state stack: rows *kept*, then the *merged* rows.
+
+    Written in place over *states* (ascending *kept* rows move up, never
+    over a row still to be read), so the stack never grows and no second
+    stack is allocated; the result is a leading slice of the same arrays.
+    """
+    for stack, tail in (
+        (states.score, [state.score for state in merged]),
+        (states.pay, [state.pay for state in merged]),
+    ):
+        for offset, row in enumerate(kept):
+            stack[offset] = stack[row]
+        for offset, row in enumerate(tail, start=len(kept)):
+            stack[offset] = row
+    return states[: len(kept) + len(merged)]

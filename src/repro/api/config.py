@@ -180,9 +180,7 @@ class EngineConfig:
     that many threads (1, the default, runs them in order);
     ``state_dtype`` stores mixed-strategy subtree states in float32;
     ``mixed_kernel`` selects the mixed-merge pricing kernel;
-    ``raw_cache_entries`` caps the raw-WTP LRU cache (``None`` uses the
-    engine's per-catalogue default); ``drift_threshold`` is the relative revenue
-    drift beyond which a warm ``refit`` falls back to a cold ``fit``
+    ``drift_threshold`` is the relative revenue drift beyond which a warm ``refit`` falls back to a cold ``fit``
     (see :meth:`~repro.api.solver.BundlingSolver.refit`).
     """
 
@@ -193,7 +191,6 @@ class EngineConfig:
     n_workers: int = 1
     state_dtype: str | None = None
     mixed_kernel: str = "auto"
-    raw_cache_entries: int | None = None
     drift_threshold: float = DEFAULT_DRIFT_THRESHOLD
 
     def __post_init__(self) -> None:
@@ -220,12 +217,6 @@ class EngineConfig:
         object.__setattr__(
             self, "mixed_kernel", check_mixed_kernel(self.mixed_kernel)
         )
-        if self.raw_cache_entries is not None:
-            object.__setattr__(
-                self,
-                "raw_cache_entries",
-                check_positive_int(self.raw_cache_entries, "raw_cache_entries"),
-            )
         object.__setattr__(
             self, "drift_threshold", check_drift_threshold(self.drift_threshold)
         )
@@ -248,7 +239,6 @@ class EngineConfig:
             adoption=self.adoption.build(),
             grid=PriceGrid(n_levels=self.n_levels),
             chunk_elements=self.chunk_elements,
-            raw_cache_entries=self.raw_cache_entries,
             n_workers=self.n_workers,
             state_dtype=self.state_dtype,
             mixed_kernel=self.mixed_kernel,
@@ -273,10 +263,6 @@ class EngineConfig:
                 "engines with a generalized objective cannot be captured as an "
                 "EngineConfig"
             )
-        from repro.core.revenue import default_raw_cache_entries
-
-        default_cache = default_raw_cache_entries(engine.n_items)
-        cache_entries = engine._raw_cache.max_entries
         return cls(
             theta=engine.theta,
             n_levels=engine.grid.n_levels,
@@ -285,7 +271,6 @@ class EngineConfig:
             n_workers=engine.n_workers,
             state_dtype=engine.state_dtype.name,
             mixed_kernel=engine.mixed_kernel,
-            raw_cache_entries=None if cache_entries == default_cache else cache_entries,
             drift_threshold=engine.drift_threshold,
         )
 
@@ -299,7 +284,6 @@ class EngineConfig:
             "n_workers": self.n_workers,
             "state_dtype": self.state_dtype,
             "mixed_kernel": self.mixed_kernel,
-            "raw_cache_entries": self.raw_cache_entries,
             "drift_threshold": self.drift_threshold,
         }
 

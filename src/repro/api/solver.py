@@ -437,23 +437,12 @@ class BundlingSolver:
         """
         from dataclasses import replace
 
-        from repro.core.revenue import default_raw_cache_entries
-
         config = self.engine_config
         captured = EngineConfig.from_engine(engine)  # raises for exotic engines
-        default_cache = default_raw_cache_entries(engine.n_items)
-        # None wildcards (engine-side defaults) are satisfied by whatever
-        # the engine carries.
-        normalized = replace(
-            config,
-            state_dtype=config.state_dtype or "float64",
-            raw_cache_entries=config.raw_cache_entries or default_cache,
-        )
-        comparable = replace(
-            captured,
-            raw_cache_entries=captured.raw_cache_entries or default_cache,
-        )
-        if normalized != comparable:
+        # A None state_dtype (the engine-side default) is satisfied by the
+        # float64 the engine carries.
+        normalized = replace(config, state_dtype=config.state_dtype or "float64")
+        if normalized != captured:
             raise ValidationError(
                 "fit_engine got an engine that does not match this solver's "
                 f"EngineConfig (engine: {captured}; config: {config}); build "

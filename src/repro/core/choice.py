@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.adoption import AdoptionModel
-from repro.core.bundle import Bundle
+from repro.core.bundle import Bundle, laminar_order, laminar_walk
 from repro.core.pricing import PricedBundle
 from repro.errors import ConfigurationError
 from repro.utils.rng import ensure_rng
@@ -82,30 +82,23 @@ class OfferNode:
 def build_forest(offers: list[PricedBundle]) -> list[OfferNode]:
     """Arrange a laminar family of offers into a forest.
 
-    Each offer's parent is its smallest strict superset among the offers.
-    Raises :class:`ConfigurationError` on duplicates or non-laminar overlap.
+    Each offer's parent is its smallest strict superset among the offers;
+    siblings and roots follow ``(-size, items)`` order.  One
+    :func:`~repro.core.bundle.laminar_walk` over the offers' items finds
+    every parent.  Raises :class:`ConfigurationError` on duplicates or
+    non-laminar overlap.
     """
-    ordered = sorted(offers, key=lambda po: (-po.bundle.size, po.bundle.items))
+    ordered = [offers[k] for k in laminar_order([offer.bundle for offer in offers])]
+    parents, violation = laminar_walk([offer.bundle for offer in ordered])
+    if violation is not None:
+        bundle, other = (ordered[k].bundle for k in violation)
+        if bundle == other:
+            raise ConfigurationError(f"duplicate offer for bundle {bundle}")
+        raise ConfigurationError(f"offers {bundle} and {other} overlap without nesting")
     nodes = [OfferNode(offer) for offer in ordered]
     roots: list[OfferNode] = []
-    for index, node in enumerate(nodes):
-        parent: OfferNode | None = None
-        # Candidates appear earlier in the ordering (larger or equal size).
-        for candidate in nodes[:index]:
-            if node.bundle == candidate.bundle:
-                raise ConfigurationError(f"duplicate offer for bundle {node.bundle}")
-            if node.bundle.issubset(candidate.bundle):
-                # The latest (smallest) superset seen so far wins.
-                if parent is None or candidate.bundle.size <= parent.bundle.size:
-                    parent = candidate
-            elif node.bundle.intersects(candidate.bundle):
-                raise ConfigurationError(
-                    f"offers {node.bundle} and {candidate.bundle} overlap without nesting"
-                )
-        if parent is None:
-            roots.append(node)
-        else:
-            parent.children.append(node)
+    for node, parent in zip(nodes, parents):
+        (roots if parent is None else nodes[parent].children).append(node)
     return roots
 
 
@@ -115,7 +108,9 @@ class SubtreeState:
     """Per-consumer choice state of one offer subtree (see module docs).
 
     Mixed-strategy search keeps one state (two O(M) arrays) per live offer,
-    which at a million users dominates the scan's working set.  States may
+    stacked into ``(n_offers, M)`` matrices for the pair scans
+    (:meth:`stack`), which at a million users dominates the scan's working
+    set.  States may
     therefore be stored in ``float32`` (:meth:`astype`; the engine's
     ``state_dtype`` option) — the streaming kernels widen them back to
     float64 on the fly when filling score/pay columns, so only the resident
@@ -124,6 +119,22 @@ class SubtreeState:
 
     score: np.ndarray
     pay: np.ndarray
+
+    @classmethod
+    def stack(cls, states: "list[SubtreeState]") -> "SubtreeState":
+        """One state whose ``score``/``pay`` are ``(len(states), M)`` stacks.
+
+        Rows keep their dtype (float32 states stack to a float32 matrix);
+        ``stacked[k]`` is state *k* again.
+        """
+        return cls(
+            np.stack([state.score for state in states]),
+            np.stack([state.pay for state in states]),
+        )
+
+    def __getitem__(self, index) -> "SubtreeState":
+        """Row(s) *index* of a stacked state (see :meth:`stack`)."""
+        return SubtreeState(self.score[index], self.pay[index])
 
     def __add__(self, other: "SubtreeState") -> "SubtreeState":
         # Sibling subtrees are independent: surpluses add (deterministic)

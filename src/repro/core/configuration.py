@@ -86,14 +86,16 @@ class MixedConfiguration:
         self.offers = _as_offer_tuple(offers)
         self.n_items = int(n_items)
         validate_laminar((offer.bundle for offer in self.offers), self.n_items)
+        self._forest = build_forest(list(self.offers))
 
     @property
     def bundles(self) -> tuple[Bundle, ...]:
         return tuple(offer.bundle for offer in self.offers)
 
     def forest(self) -> list[OfferNode]:
-        """The laminar family arranged as a forest of offers."""
-        return build_forest(list(self.offers))
+        """The laminar family arranged as a forest of offers (built once,
+        at construction; callers must not modify it)."""
+        return self._forest
 
     @property
     def top_level_bundles(self) -> tuple[Bundle, ...]:

@@ -230,7 +230,7 @@ class IncrementalMenuPricer:
         for bundle in bundles:
             if bundle in self._entries:
                 continue
-            raw = np.array(engine.raw_wtp(bundle), dtype=np.float64, copy=True)
+            raw = engine.raw_wtp(bundle)
             self._entries[bundle] = _BundleState(raw, self._sorted_state(bundle, raw))
 
     # Same float expression as RevenueEngine._scale (Equation 1's factor).

@@ -29,11 +29,11 @@ alone decides how the *same* chunk schedule runs:
 ``n_workers > 1``
     The chunks fan out over a ``ThreadPoolExecutor``; every worker owns a
     private fill buffer and processes a strided subset of the serial
-    schedule.  Fill callbacks run concurrently and must be thread-safe;
-    the engine's raw-WTP cache (:class:`LRUArrayCache`) takes a lock
-    around its bookkeeping for exactly this reason.  Speedup is capped by
-    the GIL-free fraction of the scan (the numpy kernels release it, the
-    Python-level fill work does not).
+    schedule.  Fill callbacks run concurrently; the engine's fills only
+    gather from row stacks built before the scan starts and never written
+    during it, so they need no lock.  Speedup is capped by the GIL-free
+    fraction of the scan (the numpy gathers and kernels release it, the
+    Python-level chunk bookkeeping does not).
 
 Because the chunk schedule never depends on ``n_workers``, and every
 chunk's pricing is column-independent and internally reduced through
@@ -51,19 +51,14 @@ instead of aborting the fit.  A deterministic exception raised by the fill
 or pricing arithmetic would fail identically in order and propagates
 immediately.  The fallback is exercised deterministically through the
 ``thread_pool`` site of :mod:`repro.core.faults`.
-
-Also here: the LRU cache that keeps :class:`~repro.core.revenue.RevenueEngine`'s
-per-bundle raw-WTP vectors memory-flat over long greedy runs.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import time
 import traceback
 import warnings
-from collections import OrderedDict
 from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 
@@ -355,7 +350,9 @@ def stream_pure_prices(
 
 # ------------------------------------------------------------- mixed streaming
 def stream_mixed_merges(
-    fill_pair: Callable[[int, np.ndarray, np.ndarray, np.ndarray], tuple[float, float]],
+    fill: Callable[
+        [np.ndarray, np.ndarray, np.ndarray, int, int], tuple[np.ndarray, np.ndarray]
+    ],
     n_pairs: int,
     n_users: int,
     adoption: AdoptionModel,
@@ -366,15 +363,15 @@ def stream_mixed_merges(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Streamed mixed-merge pricing over *n_pairs* candidates.
 
-    ``fill_pair(k, wtp_col, score_col, pay_col)`` must write candidate
-    ``k``'s bundle-WTP column and base choice-state columns (each of length
-    ``n_users``, float64) and return its Guiltinan interval ``(floor,
-    ceiling)``.  The columns are slices of column-major (Fortran-order)
-    buffers, so each is contiguous and a fill writes it in one unit-stride
-    ``out=`` pass; the kernel then prices the whole ``(n_users, width)``
-    block in one pass.  Buffers are reused across chunks, so ``fill_pair``
-    must overwrite every entry it is handed; it must also be thread-safe
-    when ``n_workers > 1``.
+    ``fill(wtp_block, score_block, pay_block, start, stop)`` must write
+    the bundle-WTP and base choice-state columns of candidates ``[start,
+    stop)`` (each block ``(n_users, stop-start)``, float64) and return
+    their Guiltinan intervals as two arrays ``(floors, ceilings)``.  The
+    blocks are column-major (Fortran order), so ``block.T`` is a row-major
+    ``(stop-start, n_users)`` array a fill can write with one ``out=``
+    pass; the kernel then prices the whole block in one pass.  Buffers are
+    reused across chunks, so ``fill`` must overwrite every entry it is
+    handed; it must also be thread-safe when ``n_workers > 1``.
 
     Chunks hold at most ``min(chunk_elements, SCAN_BLOCK_ELEMENTS)``
     elements across the three fill buffers (:data:`MIXED_FILL_BUFFERS`
@@ -417,32 +414,16 @@ def stream_mixed_merges(
     n_workers = min(check_n_workers(n_workers), len(chunks))
 
     def make_buffers() -> tuple:
-        # Three column buffers (bundle WTP, base score, base payment) plus
-        # the two interval rows.
-        return (
-            _fill_buffer(n_users, width),
-            _fill_buffer(n_users, width),
-            _fill_buffer(n_users, width),
-            np.empty(width, dtype=np.float64),
-            np.empty(width, dtype=np.float64),
-        )
+        # Bundle WTP, base score, base payment.
+        return tuple(_fill_buffer(n_users, width) for _ in range(MIXED_FILL_BUFFERS))
 
     def process(buffers: tuple, start: int, stop: int) -> None:
-        wtp_buf, score_buf, pay_buf, floors, ceilings = buffers
-        count = stop - start
-        for offset in range(count):
-            floors[offset], ceilings[offset] = fill_pair(
-                start + offset,
-                wtp_buf[:, offset],
-                score_buf[:, offset],
-                pay_buf[:, offset],
-            )
+        blocks = [buffer[:, : stop - start] for buffer in buffers]
+        floors, ceilings = fill(*blocks, start, stop)
         p, g, u, f = kernel(
-            wtp_buf[:, :count],
-            score_buf[:, :count],
-            pay_buf[:, :count],
-            floors[:count],
-            ceilings[:count],
+            *blocks,
+            floors,
+            ceilings,
             adoption,
             grid,
             chunk_elements=chunk_elements,
@@ -458,105 +439,3 @@ def stream_mixed_merges(
         _run_chunks_resilient("mixed-scan", chunks, make_buffers, process, n_workers)
     _record_scan("mixed", len(chunks), time.monotonic() - started)
     return prices, gains, upgraded, feasible
-
-
-
-# ------------------------------------------------------------------ LRU cache
-class LRUArrayCache:
-    """A bounded mapping from bundles to per-user arrays (LRU eviction).
-
-    Long greedy runs touch thousands of transient merge candidates; caching
-    every candidate's O(M) raw-WTP vector is exactly the O(M·N²) blow-up
-    the streaming kernels avoid.  The engine therefore caches raw vectors
-    through this bounded store: hot parents (the live bundles the scans
-    derive candidates from) stay resident, cold entries are evicted and
-    recomputed on demand.
-
-    All operations take an internal lock: the parallel streaming kernels
-    call the engine's fill callbacks — and therefore this cache — from
-    worker threads, and ``OrderedDict`` bookkeeping (``move_to_end`` plus
-    eviction) is not atomic.  Contention is negligible next to the numpy
-    work per chunk.
-    """
-
-    def __init__(self, max_entries: int) -> None:
-        if max_entries < 1:
-            raise ValidationError(
-                f"max_entries must be a positive int, got {max_entries!r}"
-            )
-        self.max_entries = int(max_entries)
-        self._store: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, key):
-        """The cached array for *key*, refreshed as most-recently-used."""
-        with self._lock:
-            value = self._store.get(key)
-            if value is None:
-                self.misses += 1
-                obs.counter_inc("repro_raw_cache_misses_total",
-                                help="Raw-WTP cache misses.")
-                return None
-            self._store.move_to_end(key)
-            self.hits += 1
-            obs.counter_inc("repro_raw_cache_hits_total",
-                            help="Raw-WTP cache hits.")
-            return value
-
-    def put(self, key, value) -> None:
-        """Insert (or refresh) *key*, evicting the LRU entry when full."""
-        with self._lock:
-            if key in self._store:
-                self._store.move_to_end(key)
-                self._store[key] = value
-                return
-            if len(self._store) >= self.max_entries:
-                self._store.popitem(last=False)
-                self.evictions += 1
-                obs.counter_inc("repro_raw_cache_evictions_total",
-                                help="Raw-WTP cache evictions.")
-            self._store[key] = value
-
-    def pop(self, key, default=None):
-        with self._lock:
-            return self._store.pop(key, default)
-
-    def remap(self, fn) -> int:
-        """Rewrite every cached array in place via ``fn(key, value)``.
-
-        Entries keep their recency order, so a population delta can patch
-        the cached raw-WTP vectors (delete departed rows, append arrivals)
-        instead of discarding a warm cache — ``fn`` returning ``None``
-        drops that entry.  Returns the number of entries rewritten.
-        """
-        with self._lock:
-            rewritten = 0
-            for key in list(self._store):
-                value = fn(key, self._store[key])
-                if value is None:
-                    del self._store[key]
-                else:
-                    self._store[key] = value
-                    rewritten += 1
-            return rewritten
-
-    def clear(self) -> None:
-        with self._lock:
-            self._store.clear()
-
-    def __contains__(self, key) -> bool:
-        with self._lock:
-            return key in self._store
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._store)
-
-    def __repr__(self) -> str:
-        return (
-            f"LRUArrayCache(size={len(self)}/{self.max_entries}, "
-            f"hits={self.hits}, misses={self.misses}, evictions={self.evictions})"
-        )

@@ -18,11 +18,15 @@ Memory discipline
 The pair scans are *streamed* through :mod:`repro.core.kernels`: candidate
 columns are materialized at most ``chunk_elements`` values at a time (the
 pure scan at most a cache-sized block of them), so a scan over ~N²/2
-candidates runs in O(chunk) rather than O(M·N²) memory.  A
-merged candidate's raw WTP is assembled incrementally as ``raw(b1) +
-raw(b2)`` from its cached parents instead of re-gathering item columns, and
-the raw-vector cache itself is LRU-bounded so arbitrarily long greedy runs
-stay memory-flat.  Co-support pruning runs on bit-packed masks
+candidates runs in O(chunk) rather than O(M·N²) memory.  Each scan holds
+its parents' raw WTP as rows of one row-major ``(n_parents, M)`` stack, and
+a block of merged candidates, ``raw(b1) + raw(b2)``, is one row gather and
+a broadcast add per run of equal first parents, never a per-candidate
+gather of item columns.  Between scans the engine keeps only that stack:
+the next scan leaves the rows of parents it shares in place (a greedy
+merge changes one parent, so one row is summed per scan) and overwrites
+the rest, so raw-WTP memory is one stack as tall as the most parents a
+scan has had.  Co-support pruning runs on bit-packed masks
 (:mod:`repro.core.support`) — 8× smaller than boolean stacks, with
 word-AND intersection tests.
 
@@ -33,7 +37,7 @@ revisit surviving bundles across iterations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -41,7 +45,6 @@ from repro import obs
 from repro.core.adoption import AdoptionModel, StepAdoption
 from repro.core.kernels import (
     DEFAULT_CHUNK_ELEMENTS,
-    LRUArrayCache,
     check_chunk_elements,
     check_n_workers,
     stream_mixed_merges,
@@ -64,16 +67,6 @@ from repro.core.bundle import Bundle
 from repro.core.wtp import WTPMatrix
 from repro.errors import PricingError, ValidationError
 from repro.utils.validation import check_fraction
-
-
-def default_raw_cache_entries(n_items: int) -> int:
-    """Default LRU capacity for per-bundle raw-WTP vectors.
-
-    Enough for every singleton plus a full set of live bundles, keeping
-    long runs memory-flat.  Shared with :meth:`repro.api.EngineConfig.
-    from_engine`, which must recognise an engine left on this default.
-    """
-    return max(2 * n_items, 128)
 
 
 #: Default relative drift at which a warm refit gives up and re-optimizes
@@ -159,6 +152,48 @@ class Objective:
         return self.profit_weight == 1.0 and self.variable_costs is None
 
 
+def _runs(first: np.ndarray) -> list[tuple[int, int]]:
+    """``(lo, hi)`` bounds of each run of equal values in *first*."""
+    if len(first) == 1:  # every block of a scan over many users
+        return [(0, 1)]
+    bounds = [0, *(np.flatnonzero(np.diff(first)) + 1).tolist(), len(first)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _sum_rows(
+    out: np.ndarray,
+    stack: np.ndarray,
+    first: np.ndarray,
+    second: np.ndarray,
+    runs: list[tuple[int, int]],
+) -> None:
+    """``stack[first] + stack[second]`` into the float64 column-major block
+    *out* (row *k* of ``out.T`` is candidate *k*), added in float64
+    (float32 stacks are widened before the addition).
+
+    Pair lists come grouped by their first parent (upper-triangle scans,
+    and a greedy merge's new bundle against every partner), so the block
+    is filled one of the :func:`_runs` of *first* at a time: the run's
+    first row is broadcast against its second rows.  A one-pair run —
+    every block of a scan over many users — adds two rows in place; a
+    longer one gathers its second rows, straight into the block when the
+    stack is float64.
+    """
+    rows = out.T
+    for lo, hi in runs:
+        row = stack[first[lo]]
+        if hi - lo == 1:
+            np.add(row, stack[second[lo]], out=rows[lo], dtype=np.float64)
+        elif stack.dtype == rows.dtype:
+            # "clip" skips the copy np.take makes for out= in "raise" mode;
+            # the indices are always in range.
+            np.take(stack, second[lo:hi], axis=0, out=rows[lo:hi], mode="clip")
+            np.add(row, rows[lo:hi], out=rows[lo:hi])
+        else:
+            gathered = np.take(stack, second[lo:hi], axis=0)
+            np.add(row, gathered, out=rows[lo:hi], dtype=np.float64)
+
+
 class RevenueEngine:
     """Prices bundles and measures revenue against one WTP matrix.
 
@@ -187,10 +222,6 @@ class RevenueEngine:
         provenance, though no value changes a bit of the prices.  ``None``
         disables chunking (the original unbounded behaviour — O(M·N²) at
         scale).
-    raw_cache_entries:
-        Capacity of the LRU cache of per-bundle raw-WTP vectors (each O(M)).
-        Default ``max(2·n_items, 128)`` — enough for every singleton plus a
-        full set of live bundles, keeping long runs memory-flat.
     n_workers:
         Worker threads for the streaming pair scans (default 1, in
         order).  Chunks fan out over a thread pool with one private fill
@@ -228,7 +259,6 @@ class RevenueEngine:
         grid: PriceGrid | None = None,
         objective: Objective | None = None,
         chunk_elements: int | None = DEFAULT_CHUNK_ELEMENTS,
-        raw_cache_entries: int | None = None,
         n_workers: int = 1,
         state_dtype: str | None = None,
         mixed_kernel: str = "auto",
@@ -260,9 +290,9 @@ class RevenueEngine:
             )
         self.stats = EngineStats()
         self._price_cache: dict[Bundle, PricedBundle] = {}
-        if raw_cache_entries is None:
-            raw_cache_entries = default_raw_cache_entries(wtp.n_items)
-        self._raw_cache = LRUArrayCache(raw_cache_entries)
+        # The raw-WTP stack of the previous scan's parents: row of each
+        # bundle, and the rows (see _stacked_raw).
+        self._rows: tuple[dict[Bundle, int], np.ndarray] = ({}, np.empty((0, 0)))
         self._item_bits: np.ndarray | None = None
 
     # ------------------------------------------------------------ dimensions
@@ -292,38 +322,77 @@ class RevenueEngine:
         return 1.0 + self.theta if size >= 2 else 1.0
 
     def raw_wtp(self, bundle: Bundle) -> np.ndarray:
-        """Σ_{i∈b} w_{u,i} without the θ factor (LRU-cached)."""
-        cached = self._raw_cache.get(bundle)
-        if cached is not None:
-            return cached
-        raw = self.wtp.raw_sum(bundle.items)
-        self._raw_cache.put(bundle, raw)
-        return raw
+        """Σ_{i∈b} w_{u,i} without the θ factor (a fresh array)."""
+        return self.wtp.raw_sum(bundle.items)
 
     def bundle_wtp(self, bundle: Bundle) -> np.ndarray:
         """Per-user willingness to pay for *bundle* (Equation 1)."""
         return self.raw_wtp(bundle) * self._scale(bundle.size)
 
-    def drop_cached(self, bundles: Iterable[Bundle]) -> None:
-        """Release cache entries for bundles no longer under consideration."""
-        for bundle in bundles:
-            self._raw_cache.pop(bundle, None)
-            self._price_cache.pop(bundle, None)
+    def _stacked_raw(self, bundles: Sequence[Bundle]) -> tuple[np.ndarray, np.ndarray]:
+        """The engine's row-major raw-WTP stack holding every bundle in
+        *bundles*, and the row of each.
+
+        Rows the previous scan stacked stay in place; rows of bundles this
+        scan does not use are overwritten by its new bundles, summed from
+        the item columns.  Only a scan with more parents than the stack
+        has rows allocates a new stack, copying the kept rows one at a
+        time (a peak of two stacks).
+        """
+        row_of, rows = self._rows
+        kept = {bundle: row_of[bundle] for bundle in bundles if bundle in row_of}
+        missing = [bundle for bundle in dict.fromkeys(bundles) if bundle not in kept]
+        if len(kept) + len(missing) > len(rows):
+            grown = np.empty((len(kept) + len(missing), self.n_users))
+            for k, row in enumerate(kept.values()):
+                grown[k] = rows[row]
+            kept, rows = {bundle: k for k, bundle in enumerate(kept)}, grown
+        free = sorted(set(range(len(rows))) - set(kept.values()))
+        for bundle, row in zip(missing, free):
+            rows[row] = self.raw_wtp(bundle)
+            kept[bundle] = row
+        self._rows = (kept, rows)
+        return rows, np.array([kept[bundle] for bundle in bundles], dtype=np.intp)
+
+    def _pair_rows(
+        self, priced: Sequence[PricedBundle], pairs: Sequence[tuple[int, int]]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The raw-WTP stack holding the parents in *pairs*, and each
+        pair's two row indices into it."""
+        parents, pair_parents = np.unique(
+            np.asarray(pairs, dtype=np.intp).ravel(), return_inverse=True
+        )
+        rows, parent_rows = self._stacked_raw([priced[p].bundle for p in parents])
+        pair_rows = parent_rows[pair_parents].reshape(-1, 2)
+        return rows, pair_rows[:, 0], pair_rows[:, 1]
+
+    def _fill_merged(
+        self,
+        out: np.ndarray,
+        rows: np.ndarray,
+        first: np.ndarray,
+        second: np.ndarray,
+        runs: list[tuple[int, int]],
+    ) -> None:
+        """Write ``(rows[first] + rows[second]) · (1+θ)`` into the
+        column-major block *out*, one candidate per column."""
+        _sum_rows(out, rows, first, second, runs)
+        scale = self._scale(2)
+        if scale != 1.0:
+            out *= scale
 
     # ------------------------------------------------------- population churn
     def apply_delta(self, delta) -> None:
         """Advance the engine to the post-delta population in place.
 
-        Swaps in the new WTP matrix and invalidates exactly the caches the
+        Swaps in the new WTP matrix and invalidates every cache the
         population touches.  Optimal prices are population-dependent (any
         user can move a bundle's grid top), so the price cache is cleared;
-        the packed item-support words are rebuilt lazily; the raw-WTP LRU
-        entries are *patched* rather than dropped — a raw vector is a
-        per-user sum, so a delta is a row delete/append, and the patched
-        entry is bit-identical to recomputing it on the merged population.
-        Derived subtree states (:meth:`offer_state`,
-        :meth:`merged_mixed_state`) are built from these caches on demand
-        and need no separate invalidation.
+        the packed item-support words are rebuilt lazily; the previous
+        scan's raw-WTP stack is dropped, so the next scan re-sums its
+        parents on the new population.  Subtree states
+        (:meth:`offer_state`, :meth:`merged_mixed_state`) are the caller's
+        and are not touched.
         """
         from repro.core.delta import PopulationDelta
 
@@ -332,23 +401,11 @@ class RevenueEngine:
                 f"apply_delta expects a PopulationDelta, got {type(delta).__name__}"
             )
         delta.check(self.n_users, self.n_items)
-        added = delta.added_matrix(self.wtp)
-        new_wtp = self.wtp.apply_delta(
+        self.wtp = self.wtp.apply_delta(
             delta.removed, delta.added if delta.n_added else None
         )
-        removed = np.asarray(delta.removed, dtype=np.intp)
-
-        def patch(bundle, raw):
-            vector = raw
-            if removed.size:
-                vector = np.delete(vector, removed)
-            if added is not None:
-                vector = np.concatenate([vector, added.raw_sum(bundle.items)])
-            return vector
-
-        self._raw_cache.remap(patch)
-        self.wtp = new_wtp
         self._price_cache.clear()
+        self._rows = ({}, np.empty((0, 0)))
         self._item_bits = None
         self.stats.deltas_applied += 1
         obs.counter_inc(
@@ -414,11 +471,12 @@ class RevenueEngine:
         """Gain ``r(b1∪b2) − r(b1) − r(b2)`` for each candidate pair.
 
         Candidate columns are built incrementally — ``raw(b1) + raw(b2)``
-        from the cached parent vectors, never a per-candidate gather — and
-        streamed through the chunked pricing kernel, so the scan's working
-        memory is bounded by ``chunk_elements`` however many pairs it
-        covers.  Returns the gains and the priced merged bundles (which are
-        also cached, so applying a selected merge costs nothing extra).
+        gathered from the stacked parent rows, never a per-candidate gather
+        of item columns — and streamed through the chunked pricing kernel,
+        so the scan's working memory is bounded by ``chunk_elements``
+        however many pairs it covers.  Returns the gains and the priced
+        merged bundles (which are also cached, so applying a selected merge
+        costs nothing extra).
         """
         if not pairs:
             return np.empty(0), []
@@ -436,19 +494,13 @@ class RevenueEngine:
                 missing.append(bundle)
                 missing_pairs.append(pairs[k])
             if missing:
+                rows, first, second = self._pair_rows(priced, missing_pairs)
 
                 def fill(block: np.ndarray, start: int, stop: int) -> None:
-                    for offset in range(stop - start):
-                        i, j = missing_pairs[start + offset]
-                        column = block[:, offset]
-                        np.add(
-                            self.raw_wtp(priced[i].bundle),
-                            self.raw_wtp(priced[j].bundle),
-                            out=column,
-                        )
-                        scale = self._scale(missing[start + offset].size)
-                        if scale != 1.0:
-                            column *= scale
+                    parent = first[start:stop]
+                    self._fill_merged(
+                        block, rows, parent, second[start:stop], _runs(parent)
+                    )
 
                 self._price_streamed(missing, fill)
             merged_priced = [self._price_cache[b] for b in merged_bundles]
@@ -471,10 +523,23 @@ class RevenueEngine:
         state = singleton_state(self.bundle_wtp(offer.bundle), offer.price, self.adoption)
         return state.astype(self.state_dtype)
 
+    def offer_states(self, offers: Sequence[PricedBundle]) -> "SubtreeState":
+        """:meth:`offer_state` of each offer, stacked row by row — the
+        ``states`` argument of :meth:`mixed_merge_gains`.  Each row is
+        written as it is computed, so the peak is the stack plus one row."""
+        from repro.core.choice import SubtreeState
+
+        score = np.empty((len(offers), self.n_users), dtype=self.state_dtype)
+        pay = np.empty_like(score)
+        for k, offer in enumerate(offers):
+            state = self.offer_state(offer)
+            score[k], pay[k] = state.score, state.pay
+        return SubtreeState(score, pay)
+
     def mixed_merge_gains(
         self,
         priced: Sequence[PricedBundle],
-        states: Sequence["SubtreeState"],
+        states: "SubtreeState",
         pairs: Sequence[tuple[int, int]],
     ) -> list[MixedMerge]:
         """Incremental mixed pricing for each candidate pair (streamed).
@@ -483,60 +548,62 @@ class RevenueEngine:
         interval ``(max(p1, p2), p1 + p2)`` and its *additional* expected
         revenue over the two subtrees' current offers is returned
         (Section 4.2's upgrade semantics, exact for arbitrarily nested
-        offers via the subtree-state recursion).  Per-pair columns are
-        assembled one chunk at a time, never the full (M, P) stack.
+        offers via the subtree-state recursion).  *states* stacks the
+        subtree state of every offer in *priced*: ``score`` and ``pay`` are
+        ``(len(priced), M)`` arrays in ``state_dtype`` (see
+        :meth:`offer_states` and :meth:`~repro.core.choice.SubtreeState.
+        stack`).  Per-pair columns are gathered from those rows and the
+        stacked raw WTP one chunk at a time, never the full (M, P) stack.
         """
         if not pairs:
             return []
         self.stats.mixed_pricings += len(pairs)
         self.stats.batch_calls += 1
+        rows, first, second = self._pair_rows(priced, pairs)
+        merged_bundles = [priced[i].bundle | priced[j].bundle for i, j in pairs]
         if self.grid.mode != "linspace":
             from repro.core.pricing import price_mixed_bundle
 
             results = []
-            for i, j in pairs:
-                first, second = priced[i], priced[j]
-                union = first.bundle | second.bundle
-                raw = self.raw_wtp(first.bundle) + self.raw_wtp(second.bundle)
+            for k, (i, j) in enumerate(pairs):
                 base = states[i] + states[j]
                 results.append(
                     price_mixed_bundle(
-                        raw * self._scale(union.size),
+                        (rows[first[k]] + rows[second[k]]) * self._scale(2),
                         base.score,
                         base.pay,
-                        max(first.price, second.price),
-                        first.price + second.price,
+                        max(priced[i].price, priced[j].price),
+                        priced[i].price + priced[j].price,
                         self.adoption,
                         self.grid,
-                        bundle=union,
+                        bundle=merged_bundles[k],
                     )
                 )
             return results
 
-        merged_bundles = [priced[i].bundle | priced[j].bundle for i, j in pairs]
+        left, right = np.asarray(pairs, dtype=np.intp).T
+        parent_prices = np.array([offer.price for offer in priced])
 
-        def fill_pair(
-            k: int, wtp_col: np.ndarray, score_col: np.ndarray, pay_col: np.ndarray
-        ) -> tuple[float, float]:
-            i, j = pairs[k]
-            first, second = priced[i], priced[j]
-            np.add(
-                self.raw_wtp(first.bundle),
-                self.raw_wtp(second.bundle),
-                out=wtp_col,
+        def fill(
+            wtp_block: np.ndarray,
+            score_block: np.ndarray,
+            pay_block: np.ndarray,
+            start: int,
+            stop: int,
+        ) -> tuple[np.ndarray, np.ndarray]:
+            i, j = left[start:stop], right[start:stop]
+            # Runs of one offer index are runs of one raw-WTP row too.
+            runs = _runs(i)
+            self._fill_merged(
+                wtp_block, rows, first[start:stop], second[start:stop], runs
             )
-            scale = self._scale(merged_bundles[k].size)
-            if scale != 1.0:
-                wtp_col *= scale
-            # dtype= forces the float64 loop, so float32-stored states
-            # are widened *before* the addition (np.add would otherwise
-            # sum in float32 and only cast the result).
-            np.add(states[i].score, states[j].score, out=score_col, dtype=np.float64)
-            np.add(states[i].pay, states[j].pay, out=pay_col, dtype=np.float64)
-            return max(first.price, second.price), first.price + second.price
+            _sum_rows(score_block, states.score, i, j, runs)
+            _sum_rows(pay_block, states.pay, i, j, runs)
+            p1, p2 = parent_prices[i], parent_prices[j]
+            return np.maximum(p1, p2), p1 + p2
 
         prices, gains, upgraded, feasible = stream_mixed_merges(
-            fill_pair,
+            fill,
             len(pairs),
             self.n_users,
             self.adoption,
@@ -568,10 +635,14 @@ class RevenueEngine:
         Subtree states default to standalone-offer states (correct when the
         two offers have no sub-offers of their own).
         """
-        states = [
-            state_first if state_first is not None else self.offer_state(first),
-            state_second if state_second is not None else self.offer_state(second),
-        ]
+        from repro.core.choice import SubtreeState
+
+        states = SubtreeState.stack(
+            [
+                state_first if state_first is not None else self.offer_state(first),
+                state_second if state_second is not None else self.offer_state(second),
+            ]
+        )
         return self.mixed_merge_gains([first, second], states, [(0, 1)])[0]
 
     def merged_mixed_state(

@@ -72,8 +72,8 @@ def default_engine(
         typed, validated, serializable engine recipe that new code should
         construct directly (``EngineConfig(...).build(wtp)``).  The shim
         routes the legacy ``**engine_kwargs`` (``chunk_elements=``,
-        ``n_workers=``, ``state_dtype=``, ``mixed_kernel=``,
-        ``raw_cache_entries=``) through the config, so
+        ``n_workers=``, ``state_dtype=``, ``mixed_kernel=``) through the
+        config, so
         unknown knobs now fail validation instead of reaching
         :class:`RevenueEngine` as a ``TypeError``.
 
@@ -135,7 +135,6 @@ def default_engine(
         grid=extras.get("grid") or PriceGrid(n_levels=config.n_levels),
         objective=extras.get("objective"),
         chunk_elements=config.chunk_elements,
-        raw_cache_entries=config.raw_cache_entries,
         n_workers=config.n_workers,
         state_dtype=config.state_dtype,
         mixed_kernel=config.mixed_kernel,

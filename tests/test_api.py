@@ -104,7 +104,6 @@ class TestEngineConfig:
             n_workers=3,
             state_dtype="float32",
             mixed_kernel="band",
-            raw_cache_entries=64,
         )
         payload = json.loads(json.dumps(config.to_dict()))
         assert EngineConfig.from_dict(payload) == config
@@ -123,9 +122,10 @@ class TestEngineConfig:
         with pytest.raises(ValidationError, match=next(iter(option))):
             EngineConfig.from_dict({**EngineConfig().to_dict(), **option})
 
-    @pytest.mark.parametrize("key", ["precision", "storage"])
+    @pytest.mark.parametrize("key", ["precision", "storage", "raw_cache_entries"])
     def test_precision_and_storage_are_not_options(self, wtp, key):
-        """W is always dense float64: neither backend knob exists."""
+        """W is always dense float64 and raw WTP is never cached across
+        scans: none of the old backend knobs exists."""
         with pytest.raises(TypeError):
             EngineConfig(**{key: None})
         with pytest.raises(TypeError):
@@ -162,7 +162,6 @@ class TestEngineConfig:
         assert config.n_workers == 2
         assert config.state_dtype == "float32"
         assert config.mixed_kernel == "band"
-        assert config.raw_cache_entries is None  # the per-catalogue default
         rebuilt = config.build(engine.wtp)
         assert rebuilt.state_dtype == engine.state_dtype
         assert rebuilt.chunk_elements == engine.chunk_elements
@@ -351,6 +350,12 @@ class TestSolutionPayloadValidation:
         self._assert_old_format_rejected(
             wtp, tmp_path, 2, {"precision": "float32", "storage": "sparse"}
         )
+
+    def test_v3_solution_and_checkpoint_rejected(self, wtp, tmp_path):
+        """Format 3 carried ``raw_cache_entries`` in ``engine_config``; it
+        fails on its version, never as an unknown key or a tampered
+        fingerprint."""
+        self._assert_old_format_rejected(wtp, tmp_path, 3, {"raw_cache_entries": 64})
 
     def test_strategy_configuration_mismatch(self, fitted):
         _, solution = fitted

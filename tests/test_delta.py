@@ -160,8 +160,8 @@ class TestEngineApplyDelta:
         delta = make_delta(small_wtp)
         engine = config.build(small_wtp)
         singles = engine.price_components()
-        states = [engine.offer_state(offer) for offer in singles[:4]]
-        assert states
+        states = engine.offer_states(singles[:4])
+        assert states.score.shape == (4, engine.n_users)
         engine.apply_delta(delta)
         fresh = config.build(delta.apply(small_wtp))
         fresh_singles = fresh.price_components()
@@ -169,12 +169,12 @@ class TestEngineApplyDelta:
             assert offer == cold_offer
         merges = engine.mixed_merge_gains(
             engine.price_components(),
-            [engine.offer_state(o) for o in engine.price_components()],
+            engine.offer_states(engine.price_components()),
             engine.co_supported_pairs([o.bundle for o in engine.price_components()]),
         )
         fresh_merges = fresh.mixed_merge_gains(
             fresh_singles,
-            [fresh.offer_state(o) for o in fresh_singles],
+            fresh.offer_states(fresh_singles),
             fresh.co_supported_pairs([o.bundle for o in fresh_singles]),
         )
         assert merges == fresh_merges

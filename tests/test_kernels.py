@@ -17,7 +17,6 @@ from repro.algorithms.matching_iterative import IterativeMatching
 from repro.core.adoption import SigmoidAdoption, StepAdoption
 from repro.core.bundle import Bundle
 from repro.core.kernels import (
-    LRUArrayCache,
     chunk_width,
     stream_pure_prices,
 )
@@ -194,14 +193,14 @@ class TestMixedFillBufferBudget:
         pays = rng.uniform(0.0, 5.0, size=(n_users, n_pairs))
         monkeypatch.setattr(np, "empty", tracking_empty)
 
-        def fill_pair(k, wtp_col, score_col, pay_col):
-            wtp_col[:] = wtp[:, k]
-            score_col[:] = scores[:, k]
-            pay_col[:] = pays[:, k]
-            return 2.0, 9.0
+        def fill(wtp_block, score_block, pay_block, start, stop):
+            wtp_block[:] = wtp[:, start:stop]
+            score_block[:] = scores[:, start:stop]
+            pay_block[:] = pays[:, start:stop]
+            return np.full(stop - start, 2.0), np.full(stop - start, 9.0)
 
         result = stream_mixed_merges(
-            fill_pair, n_pairs, n_users, Step(), PriceGrid(30),
+            fill, n_pairs, n_users, Step(), PriceGrid(30),
             chunk_elements=budget, mixed_kernel=mixed_kernel,
         )
         assert fill_allocations, "fill buffers were never allocated"
@@ -214,7 +213,7 @@ class TestMixedFillBufferBudget:
         # Narrower chunks must not change the scan's results.
         monkeypatch.setattr(np, "empty", real_empty)
         unchunked = stream_mixed_merges(
-            fill_pair, n_pairs, n_users, Step(), PriceGrid(30),
+            fill, n_pairs, n_users, Step(), PriceGrid(30),
             chunk_elements=None, mixed_kernel=mixed_kernel,
         )
         for got, want in zip(result, unchunked):
@@ -229,7 +228,7 @@ class TestChunkedMixedPricing:
         results = []
         for engine in (chunked, unchunked):
             singles = engine.price_components()
-            states = [engine.offer_state(offer) for offer in singles]
+            states = engine.offer_states(singles)
             pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
             results.append(engine.mixed_merge_gains(singles, states, pairs))
         for g, w in zip(*results):
@@ -319,7 +318,7 @@ class TestPackedSupport:
 
 
 class TestEndToEndChunking:
-    """Whole-algorithm bit-identity under aggressive chunking and eviction."""
+    """Whole-algorithm bit-identity under aggressive chunking."""
 
     @pytest.mark.parametrize(
         "algo_factory",
@@ -334,7 +333,7 @@ class TestEndToEndChunking:
     def test_bit_identical_results(self, small_wtp, algo_factory):
         baseline = algo_factory().fit(RevenueEngine(small_wtp, chunk_elements=None))
         streamed = algo_factory().fit(
-            RevenueEngine(small_wtp, chunk_elements=997, raw_cache_entries=5)
+            RevenueEngine(small_wtp, chunk_elements=997)
         )
         assert streamed.expected_revenue == baseline.expected_revenue
         want = sorted(
@@ -346,47 +345,6 @@ class TestEndToEndChunking:
             for o in streamed.configuration.offers
         )
         assert got == want
-
-
-class TestLRUCache:
-    def test_eviction_order_and_bounds(self):
-        cache = LRUArrayCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refreshes "a"
-        cache.put("c", 3)  # evicts "b", the LRU entry
-        assert "b" not in cache
-        assert cache.get("b") is None
-        assert cache.get("a") == 1 and cache.get("c") == 3
-        assert len(cache) == 2
-        assert cache.evictions == 1
-
-    def test_put_refreshes_existing(self):
-        cache = LRUArrayCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("a", 10)  # refresh, no eviction
-        cache.put("c", 3)  # evicts "b"
-        assert "a" in cache and "c" in cache and "b" not in cache
-
-    def test_rejects_non_positive_capacity(self):
-        with pytest.raises(ValidationError):
-            LRUArrayCache(0)
-
-    def test_engine_raw_cache_stays_bounded(self, small_wtp):
-        engine = RevenueEngine(small_wtp, raw_cache_entries=4)
-        singles = engine.price_components()
-        pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
-        engine.pure_merge_gains(singles, pairs)
-        assert len(engine._raw_cache) <= 4
-
-    def test_engine_results_survive_eviction(self, small_wtp):
-        tight = RevenueEngine(small_wtp, raw_cache_entries=2)
-        roomy = RevenueEngine(small_wtp)
-        bundle = Bundle.of(0, 1, 2)
-        for i in range(small_wtp.n_items):  # churn the cache
-            tight.raw_wtp(Bundle.of(i))
-        np.testing.assert_array_equal(tight.raw_wtp(bundle), roomy.raw_wtp(bundle))
 
 
 class TestEngineOptions:

@@ -262,7 +262,7 @@ class TestStreamedEquivalence:
 
     def merge_scan(self, engine, n=10):
         singles = engine.price_components()
-        states = [engine.offer_state(offer) for offer in singles]
+        states = engine.offer_states(singles)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         return engine.mixed_merge_gains(singles, states, pairs)
 
@@ -367,7 +367,7 @@ class TestScaleSpeedup:
         for kernel in ("sorted", "band"):
             engine = RevenueEngine(wtp, state_dtype="float32", mixed_kernel=kernel)
             singles = engine.price_components()
-            states = [engine.offer_state(offer) for offer in singles]
+            states = engine.offer_states(singles)
             pairs = engine.co_supported_pairs([o.bundle for o in singles])
             started = time.perf_counter()
             results[kernel] = engine.mixed_merge_gains(singles, states, pairs)

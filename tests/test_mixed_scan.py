@@ -14,8 +14,9 @@ Three contracts are pinned here:
 * **cache-sized memory** — a streamed scan's peak allocation is bounded by
   :data:`~repro.core.kernels.SCAN_BLOCK_ELEMENTS`, not by
   ``chunk_elements``, and its result does not depend on either;
-* **column-major blocks** — in-order and threaded scans hand ``fill_pair``
-  contiguous columns of Fortran-ordered buffers.
+* **column-major blocks** — in-order and threaded scans hand the block
+  ``fill`` Fortran-ordered buffers, so every candidate column is
+  contiguous.
 """
 
 import tracemalloc
@@ -337,10 +338,11 @@ N_USERS, N_PAIRS, N_PARENTS = 8000, 2000, 64
 
 
 def pair_fill(seed=5):
-    """A mixed-merge style fill over ratings-like parent rows.
+    """A mixed-merge style block fill over ratings-like parent rows.
 
     Column ``k`` is ``raw[i] + raw[j]`` with base score and payment summed
     from the two parents; the interval is ``(max(p_i, p_j), p_i + p_j)``.
+    Each block is filled by row gathers, as the engine's scans do.
     """
     rng = np.random.default_rng(seed)
     raw = 1.25 * rng.integers(0, 6, size=(N_PARENTS, N_USERS)).astype(np.float64)
@@ -351,15 +353,14 @@ def pair_fill(seed=5):
     pay = np.where(buys, parent_prices[:, None], 0.0)
     pairs = rng.integers(0, N_PARENTS, size=(N_PAIRS, 2))
 
-    def fill_pair(k, wtp_col, score_col, pay_col):
-        i, j = pairs[k]
-        np.add(raw[i], raw[j], out=wtp_col)
-        np.add(score[i], score[j], out=score_col)
-        np.add(pay[i], pay[j], out=pay_col)
+    def fill(wtp_block, score_block, pay_block, start, stop):
+        i, j = pairs[start:stop].T
+        for rows, block in ((raw, wtp_block), (score, score_block), (pay, pay_block)):
+            np.add(np.take(rows, i, axis=0), np.take(rows, j, axis=0), out=block.T)
         first, second = parent_prices[i], parent_prices[j]
-        return max(first, second), first + second
+        return np.maximum(first, second), first + second
 
-    return fill_pair
+    return fill
 
 
 def test_stream_mixed_merges_peak_memory_is_cache_sized():
@@ -370,8 +371,8 @@ def test_stream_mixed_merges_peak_memory_is_cache_sized():
     equal a one-pair-per-chunk scan and a one-chunk scan (over a 64-pair
     prefix, which keeps that scan's unbounded buffers small).
     """
-    fill_pair = pair_fill()
-    args = (fill_pair, N_PAIRS, N_USERS, StepAdoption(), PriceGrid())
+    fill = pair_fill()
+    args = (fill, N_PAIRS, N_USERS, StepAdoption(), PriceGrid())
     tracemalloc.start()
     try:
         streamed = stream_mixed_merges(
@@ -388,7 +389,7 @@ def test_stream_mixed_merges_peak_memory_is_cache_sized():
     )
     prefix = 64
     unchunked = stream_mixed_merges(
-        fill_pair,
+        fill,
         prefix,
         N_USERS,
         StepAdoption(),
@@ -401,7 +402,7 @@ def test_stream_mixed_merges_peak_memory_is_cache_sized():
 
 def test_mixed_scan_span_reports_block_width():
     """``scan.mixed_merges`` carries the chunk width the scan really used."""
-    fill_pair = pair_fill()
+    fill = pair_fill()
     tracer = obs.enable_tracing()
     cases = (
         (DEFAULT_CHUNK_ELEMENTS, SCAN_BLOCK_ELEMENTS // (3 * N_USERS)),
@@ -410,7 +411,7 @@ def test_mixed_scan_span_reports_block_width():
     )
     for budget, width in cases:
         stream_mixed_merges(
-            fill_pair,
+            fill,
             40,
             N_USERS,
             StepAdoption(),
@@ -428,17 +429,18 @@ def test_fill_columns_are_contiguous_on_every_executor():
     """In-order and threaded scans both fill column-major buffers."""
     layouts = []
 
-    def fill_pair(k, wtp_col, score_col, pay_col):
-        columns = (wtp_col, score_col, pay_col)
-        layouts.append(all(column.flags.c_contiguous for column in columns))
-        wtp_col[:] = np.arange(wtp_col.size) % 7 + k
-        score_col[:] = 1.0
-        pay_col[:] = 2.0
-        return 3.0, 9.0
+    def fill(wtp_block, score_block, pay_block, start, stop):
+        blocks = (wtp_block, score_block, pay_block)
+        layouts.append(all(block.flags.f_contiguous for block in blocks))
+        columns = np.arange(start, stop)
+        wtp_block[:] = np.arange(wtp_block.shape[0])[:, None] % 7 + columns
+        score_block[:] = 1.0
+        pay_block[:] = 2.0
+        return np.full(stop - start, 3.0), np.full(stop - start, 9.0)
 
     for workers in (1, 2):
         stream_mixed_merges(
-            fill_pair,
+            fill,
             40,
             500,
             StepAdoption(),

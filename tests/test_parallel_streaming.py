@@ -156,7 +156,7 @@ class TestParallelParity:
         results = []
         for engine in (serial, parallel):
             singles = engine.price_components()
-            states = [engine.offer_state(offer) for offer in singles]
+            states = engine.offer_states(singles)
             pairs = [(i, j) for i in range(10) for j in range(i + 1, 10)]
             results.append(engine.mixed_merge_gains(singles, states, pairs))
         for w, g in zip(*results):
@@ -254,7 +254,7 @@ class TestTreeSum:
                 chunk_elements=chunk_elements,
             )
             singles = engine.price_components()
-            states = [engine.offer_state(offer) for offer in singles]
+            states = engine.offer_states(singles)
             pairs = [(i, j) for i in range(9) for j in range(i + 1, 9)]
             results.append(engine.mixed_merge_gains(singles, states, pairs))
         for g, w in zip(*results):
@@ -381,14 +381,11 @@ class TestLeanMixedState:
         singles_lean = lean.price_components()
         singles_full = full.price_components()
         pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
-        states_lean = [lean.offer_state(o) for o in singles_lean]
+        states_lean = lean.offer_states(singles_lean)
         # float64 states holding exactly the float32-rounded values:
-        states_widened = [
-            SubtreeState(
-                s.score.astype(np.float64), s.pay.astype(np.float64)
-            )
-            for s in states_lean
-        ]
+        states_widened = SubtreeState(
+            states_lean.score.astype(np.float64), states_lean.pay.astype(np.float64)
+        )
         got = lean.mixed_merge_gains(singles_lean, states_lean, pairs)
         want = full.mixed_merge_gains(singles_full, states_widened, pairs)
         for g, w in zip(got, want):

@@ -33,18 +33,12 @@ class TestEngineBasics:
             pair, (handmade_wtp.column(0) + handmade_wtp.column(1)) * 1.1
         )
 
-    def test_raw_wtp_cached(self, handmade_wtp):
-        engine = RevenueEngine(handmade_wtp)
-        first = engine.raw_wtp(Bundle.of(0, 1))
-        second = engine.raw_wtp(Bundle.of(0, 1))
-        assert first is second
-
-    def test_drop_cached(self, handmade_wtp):
+    def test_raw_wtp_is_the_item_sum(self, handmade_wtp):
         engine = RevenueEngine(handmade_wtp)
         bundle = Bundle.of(0, 1)
-        engine.price_bundle(bundle)
-        engine.drop_cached([bundle])
-        assert bundle not in engine._price_cache
+        np.testing.assert_array_equal(
+            engine.raw_wtp(bundle), handmade_wtp.raw_sum(bundle.items)
+        )
 
 
 class TestPurePricing:
@@ -93,7 +87,7 @@ class TestMixedPricing:
 
     def test_batch_matches_single(self, small_engine):
         singles = small_engine.price_components()
-        states = [small_engine.offer_state(offer) for offer in singles]
+        states = small_engine.offer_states(singles)
         pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
         merges = small_engine.mixed_merge_gains(singles, states, pairs)
         for (i, j), merge in zip(pairs, merges):
@@ -105,7 +99,7 @@ class TestMixedPricing:
 
     def test_exact_grid_fallback(self, exact_engine):
         singles = exact_engine.price_components()
-        states = [exact_engine.offer_state(offer) for offer in singles]
+        states = exact_engine.offer_states(singles)
         merges = exact_engine.mixed_merge_gains(singles, states, [(0, 1)])
         assert len(merges) == 1
 
@@ -115,7 +109,7 @@ class TestMixedPricing:
         from repro.core.pricing import PricedBundle
 
         singles = small_engine.price_components()
-        states = [small_engine.offer_state(offer) for offer in singles]
+        states = small_engine.offer_states(singles)
         merges = small_engine.mixed_merge_gains(singles, states, [(0, 1)])
         merge = merges[0]
         if not merge.feasible:
@@ -215,7 +209,7 @@ class TestStats:
     def test_counters_accumulate_and_reset(self, small_engine):
         singles = small_engine.price_components()
         assert small_engine.stats.pure_pricings >= small_engine.n_items
-        states = [small_engine.offer_state(o) for o in singles]
+        states = small_engine.offer_states(singles)
         small_engine.mixed_merge_gains(singles, states, [(0, 1), (1, 2)])
         assert small_engine.stats.mixed_pricings >= 2
         small_engine.stats.reset()
