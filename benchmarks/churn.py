@@ -2,7 +2,7 @@
 
 A serving population churns: users leave, new users arrive, the fitted
 menu stays.  ``BundlingSolver.refit`` re-prices the retained menu across
-a :class:`~repro.api.PopulationDelta` in O(|delta| log M) per bundle
+a :class:`~repro.api.PopulationDelta` in O(M) per bundle
 instead of re-running the O(M·N²) bundling fit.  This script measures 1%
 churn on the cloned Figure-7a workload (``--factor 250`` = 100k users)
 and gates the two contracts the refit layer promises:
@@ -65,8 +65,8 @@ def make_delta(wtp, churn: float, seed: int) -> PopulationDelta:
     """A symmetric ``churn`` fraction: drop N users, add N new rows.
 
     Arrivals are existing rows rescaled by a deterministic ±10% factor —
-    plausible newcomers on the same WTP scale, not copies the sorted
-    multiset could cancel out.
+    plausible newcomers on the same WTP scale, not exact copies of
+    existing rows.
     """
     rng = np.random.default_rng(seed)
     n_churn = max(1, int(round(wtp.n_users * churn)))

@@ -57,7 +57,12 @@ re-measuring them.  A bare ``--factors`` runs no pure cells::
 ``ru_maxrss`` is the process high-water mark, so a cell's RSS includes
 every cell run before it in the same invocation; for per-cell RSS, run
 one cell per invocation, each with ``--merge-existing`` (the committed
-100k and 1M cells were recorded that way).
+100k and 1M cells were recorded that way).  Every measured cell carries
+``recorded_at_commit`` (``git rev-parse --short HEAD``, or ``"unknown"``
+outside a git checkout); a merge flags a kept cell
+``retained_from_previous_record`` only when it was recorded at another
+commit, so cells measured one per invocation on the same commit stay
+unflagged.
 
 The matching heuristic is capped at two iterations (one for the 1M mixed
 cell): the first iteration's full pair scan is exactly the allocation the
@@ -72,6 +77,7 @@ import json
 import os
 import platform
 import resource
+import subprocess
 import time
 import tracemalloc
 from pathlib import Path
@@ -105,6 +111,21 @@ BACKENDS = {
     ),
     "streaming-mixed-sorted": EngineConfig(mixed_kernel="sorted"),
 }
+
+
+def head_commit() -> str:
+    """The checkout's short commit hash, or ``"unknown"`` outside git."""
+    try:
+        result = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return result.stdout.strip() or "unknown"
 
 
 def measure_cell(
@@ -292,6 +313,7 @@ def run(args) -> dict:
             for backend in args.mixed_backends
         )
 
+    head = head_commit()
     runs = []
     for factor in sorted(plan):
         wtp = base_wtp.clone_users(factor) if factor > 1 else base_wtp
@@ -303,6 +325,7 @@ def run(args) -> dict:
                 clone_factor=factor,
                 n_users=wtp.n_users,
                 n_items=wtp.n_items,
+                recorded_at_commit=head,
             )
             runs.append(cell)
             print(
@@ -347,7 +370,11 @@ def run(args) -> dict:
                 # only mixed kernel of their era: the band scan.
                 if r["algorithm"] == "mixed" and "mixed_kernel" not in r:
                     r["mixed_kernel"] = "band"
-                r.setdefault("retained_from_previous_record", True)
+                # A cell measured at this commit (an earlier one-cell
+                # invocation) is as fresh as this run's; a flag a cell
+                # already carries stays.
+                if head == "unknown" or r.get("recorded_at_commit") != head:
+                    r.setdefault("retained_from_previous_record", True)
             runs = retained + runs
             runs.sort(key=lambda r: (r["clone_factor"], r["algorithm"], r["backend"]))
             carried = previous

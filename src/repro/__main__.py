@@ -15,7 +15,7 @@ Commands
     Incrementally update a saved solution across a population delta
     (users added/removed) without re-running the bundling algorithm:
     the menu's bundles keep their structure and are warm re-priced on
-    the post-delta population in O(|delta| log M) per bundle.  When the
+    the post-delta population in O(M) per bundle.  When the
     revenue drift exceeds ``--drift-threshold`` the command falls back
     to a full cold ``fit`` on the new population (bit-identical to
     ``bundle`` on it).  Requires the fitted population (``--wtp``, an

@@ -270,14 +270,13 @@ class BundlingSolver:
 
         ``wtp`` is the population *solution* was fitted on (pre-delta);
         ``delta`` is a :class:`~repro.core.delta.PopulationDelta` or its
-        dict form.  The warm path re-prices the retained menu incrementally
-        — O(menu · |delta| log M) instead of the full fit's pair rescan —
-        and its prices, revenues, and buyer counts are bit-identical to
-        re-pricing the same menu cold on the post-delta population
-        (pure strategies re-price each offer optimally via the sorted
-        incremental kernel; mixed strategies retain their fitted prices
-        and re-evaluate buyers and revenue through the exact choice
-        forest).
+        dict form.  The warm path re-prices the retained menu — O(menu · M)
+        instead of the full fit's pair rescan — and its prices, revenues,
+        and buyer counts are bit-identical to re-pricing the same menu cold
+        on the post-delta population (pure strategies re-price each offer
+        with the one pure pricer, from raw-WTP vectors carried across the
+        delta; mixed strategies retain their fitted prices and re-evaluate
+        buyers and revenue through the exact choice forest).
 
         The warm candidate's revenue drift — the larger of the relative
         expected-revenue change and the relative change of the
@@ -329,13 +328,13 @@ class BundlingSolver:
         started = time.perf_counter()
         engine = self.engine_config.build(wtp)
         delta.check(engine.n_users, engine.n_items)
-        menu = [offer.bundle for offer in solution.offers]
-        pricer = IncrementalMenuPricer(engine, menu)
-        added = delta.added_matrix(engine.wtp)
         if solution.strategy == "pure":
             # Fitted pure offers already carry allocation revenue, so the
             # pre-delta ratio comes straight off the solution.
             old_ratio = solution.diagnostics()["bundle_vs_separate_ratio"]
+            menu = [offer.bundle for offer in solution.offers]
+            pricer = IncrementalMenuPricer(engine, menu)
+            added = delta.added_matrix(engine.wtp)
             engine.apply_delta(delta)
             pricer.apply(delta, added)
             offers = tuple(pricer.price(offer.bundle) for offer in solution.offers)
@@ -351,7 +350,6 @@ class BundlingSolver:
             pre_report = evaluate(solution.configuration, engine, n_runs=0)
             old_ratio = _allocation_ratio(solution.offers, pre_report)
             engine.apply_delta(delta)
-            pricer.apply(delta, added)
             # Mixed menus keep their fitted prices; the exact choice forest
             # re-distributes the post-delta population over them, and each
             # offer's revenue/buyers fields are rebuilt from that outcome.

@@ -16,13 +16,17 @@ Two concrete models are provided:
 * :class:`StepAdoption` — the exact γ→∞ limit, deterministic and cheaper;
   it still honours α and ε, adopting iff ``α·w − p + ε ≥ 0``.
 
-Consumers with *zero* willingness to pay never adopt, under either model:
-the paper builds transactions from "items for which this consumer has
-non-zero willingness to pay" (Section 6.1.3) — a non-rater is outside the
-item's market, not a coin-flip buyer.  Without this rule a flat sigmoid
-(small γ) would sell high-priced bundles to consumers who do not want
-them at all, and coverage would *fall* with γ instead of rising
-(Figure 3's trend).
+Consumers with *zero* willingness to pay never adopt under the sigmoid
+model: the paper builds transactions from "items for which this consumer
+has non-zero willingness to pay" (Section 6.1.3) — a non-rater is outside
+the item's market, not a coin-flip buyer.  Without this rule a flat
+sigmoid (small γ) would sell high-priced bundles to consumers who do not
+want them at all, and coverage would *fall* with γ instead of rising
+(Figure 3's trend).  The step model applies its rule as written: a
+zero-WTP consumer's surplus is ``ε − p``, so with ε > 0 they adopt at
+prices up to ε (never at the default ε = 0).  Standalone pricing
+(:func:`repro.core.pricing.price_pure_batch`) and evaluation count them
+that way; the mixed-merge kernels still leave them out of an upgrade.
 
 Both expose the *utility* ``γ(α·w − p + ε)`` used by the consumer-choice
 layer (:mod:`repro.core.choice`): Equation 6 is exactly the binary-logit

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.adoption import AdoptionModel
+from repro.core.adoption import DECISION_RTOL, AdoptionModel, decision_tolerance
 from repro.core.bundle import Bundle, laminar_order, laminar_walk
 from repro.core.pricing import PricedBundle
 from repro.errors import ConfigurationError
@@ -163,8 +163,6 @@ class SubtreeState:
 
 def singleton_state(wtp: np.ndarray, price: float, adoption: AdoptionModel) -> SubtreeState:
     """State of a leaf offer (a bundle offered with no sub-offers)."""
-    from repro.core.adoption import decision_tolerance
-
     utility = adoption.utility(wtp, price)
     if adoption.is_deterministic:
         take = utility >= -decision_tolerance(price)
@@ -185,7 +183,7 @@ def upgrade_probability(
     all alternatives.
     """
     if adoption.is_deterministic:
-        slack = 1e-9 * (1.0 + np.abs(bundle_utility) + np.abs(base_score))
+        slack = DECISION_RTOL * (1.0 + np.abs(bundle_utility) + np.abs(base_score))
         return (bundle_utility >= base_score - slack).astype(np.float64)
     return _sigmoid(bundle_utility - base_score)
 
@@ -197,8 +195,6 @@ def merged_state(
     adoption: AdoptionModel,
 ) -> SubtreeState:
     """State of a subtree whose root offer ``(b, p)`` covers *base*."""
-    from repro.core.adoption import decision_tolerance
-
     take = upgrade_probability(bundle_utility, base.score, adoption)
     if adoption.is_deterministic:
         score = np.maximum(base.score, bundle_utility)
@@ -257,8 +253,6 @@ def evaluate_forest(
             base = SubtreeState(zero, zero.copy())
         take = upgrade_probability(utility, base.score, adoption)
         if adoption.is_deterministic:
-            from repro.core.adoption import decision_tolerance
-
             take = take * (utility >= -decision_tolerance(node.offer.price))
         state = merged_state(base, utility, node.offer.price, adoption)
         return state, take, child_results

@@ -2,45 +2,32 @@
 
 The paper's algorithms price a frozen M×N WTP matrix, but a served
 population churns — users leave, new users arrive.  A full refit rescans
-O(M·N²) candidate pairs; yet for a *fixed* menu the engine's cached state
-is decomposable per user:
-
-* a bundle's raw WTP vector is a per-user sum, so a delta is a row
-  delete/append, never a recompute of retained rows;
-* under deterministic adoption the optimal standalone price falls out of
-  the bundle's *sorted* in-market effective-WTP array
-  (:func:`repro.core.pricing.price_pure_sorted`), and the sorted order of
-  a float multiset is path-independent — deleting the departed values and
-  inserting the arrivals (O(|delta| log M) searches per bundle) lands on
-  exactly the array a cold sort would produce.
+O(M·N²) candidate pairs; yet for a *fixed* menu a bundle's raw WTP vector
+is a per-user sum, so a delta is a row delete/append, never a recompute of
+retained rows.
 
 :class:`PopulationDelta` is the delta record (added rows + removed user
-indices); :class:`IncrementalMenuPricer` maintains the per-bundle state
-across deltas and re-prices the menu bit-identically to a cold re-price on
-the post-delta population.  Under sigmoid adoption the expectation sums
-users in population order, so the pricer keeps only the raw vectors
-current and recomputes each touched bundle's aggregates from them —
-still O(menu) instead of O(M·N²).
+indices); :class:`IncrementalMenuPricer` keeps the menu's raw-WTP vectors
+current across deltas and re-prices each bundle with the one pure pricer,
+:func:`repro.core.pricing.price_pure_batch` — O(M) per bundle instead of
+O(M·N²), and bit-identical to a fresh engine's
+:meth:`~repro.core.revenue.RevenueEngine.price_bundle` on the post-delta
+population.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from repro.core.bundle import Bundle
-from repro.core.pricing import PricedBundle, price_pure, price_pure_sorted
+from repro.core.pricing import PricedBundle, price_pure
 from repro.core.wtp import WTPMatrix
 from repro.errors import ValidationError
 
-__all__ = [
-    "PopulationDelta",
-    "IncrementalMenuPricer",
-    "sorted_delete",
-    "sorted_insert",
-]
+__all__ = ["PopulationDelta", "IncrementalMenuPricer"]
 
 
 @dataclass(frozen=True)
@@ -155,147 +142,47 @@ class PopulationDelta:
         return f"PopulationDelta(n_added={self.n_added}, n_removed={self.n_removed})"
 
 
-# ------------------------------------------------------ sorted multiset edits
-def sorted_delete(sorted_values: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Remove one occurrence of each of *values* from an ascending array.
-
-    O(|values| log M) searches plus one memmove.  Every value must be
-    present (they were read out of the array the caller maintains); a miss
-    means the maintained state has diverged and raises.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        return sorted_values
-    vals = np.sort(values)
-    idx = np.searchsorted(sorted_values, vals, side="left")
-    # Equal values share a searchsorted index; advance duplicates onto the
-    # consecutive equal slots they actually occupy.
-    for k in range(1, idx.size):
-        if vals[k] == vals[k - 1] and idx[k] <= idx[k - 1]:
-            idx[k] = idx[k - 1] + 1
-    # values is non-empty here, so idx is too; short-circuit keeps the
-    # fancy-index off out-of-range positions.
-    if idx[-1] >= sorted_values.size or np.any(sorted_values[idx] != vals):
-        raise ValidationError(
-            "sorted_delete: a value to remove is not present in the array"
-        )
-    return np.delete(sorted_values, idx)
-
-
-def sorted_insert(sorted_values: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Insert *values* into an ascending array, keeping it sorted.
-
-    The result is bit-identical to ``np.sort`` of the concatenation: the
-    ascending order of a float multiset is unique, so maintaining it
-    incrementally can never drift from a cold sort.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        return sorted_values
-    vals = np.sort(values)
-    idx = np.searchsorted(sorted_values, vals, side="left")
-    return np.insert(sorted_values, idx, vals)
-
-
-@dataclass
-class _BundleState:
-    """Maintained per-bundle vectors (raw always; sorted when deterministic)."""
-
-    raw: np.ndarray
-    sorted_effective: np.ndarray | None
-
-
 class IncrementalMenuPricer:
-    """Per-bundle pricing state for a frozen menu, maintained across deltas.
+    """The menu bundles' raw-WTP vectors, maintained across deltas.
 
     Build it from an engine *before* the delta is applied (it snapshots the
     menu bundles' raw-WTP vectors, one O(M) copy each), then feed it the
-    same :class:`PopulationDelta` the engine consumes.  ``price`` re-runs
-    the identical level scan the cold path uses
-    (:func:`~repro.core.pricing.price_pure_sorted`), so warm prices,
-    revenues, and buyer counts are bit-identical to re-pricing the bundle
-    cold on the post-delta population — the refit layer's testable
-    contract.  Under sigmoid adoption only the raw vectors are maintained
-    and ``price`` recomputes the bundle's aggregates via
-    :func:`~repro.core.pricing.price_pure` (per-bundle recompute, no pair
-    rescan).
+    same :class:`PopulationDelta` the engine consumes.  ``price`` scales a
+    vector by Equation 1 exactly as the engine does and runs
+    :func:`~repro.core.pricing.price_pure`, so warm prices, revenues and
+    buyer counts are bit-identical to a fresh engine's standalone prices on
+    the post-delta population, under any adoption model — the refit
+    layer's testable contract.
     """
 
     def __init__(self, engine, bundles: Iterable[Bundle]) -> None:
         self._adoption = engine.adoption
         self._grid = engine.grid
-        self._deterministic = bool(engine.adoption.is_deterministic)
         self._theta = float(engine.theta)
-        self._entries: dict[Bundle, _BundleState] = {}
+        self._raw: dict[Bundle, np.ndarray] = {}
         for bundle in bundles:
-            if bundle in self._entries:
-                continue
-            raw = engine.raw_wtp(bundle)
-            self._entries[bundle] = _BundleState(raw, self._sorted_state(bundle, raw))
-
-    # Same float expression as RevenueEngine._scale (Equation 1's factor).
-    def _scale(self, bundle: Bundle) -> float:
-        return 1.0 + self._theta if bundle.size >= 2 else 1.0
-
-    def _effective(self, bundle: Bundle, raw: np.ndarray) -> np.ndarray:
-        """In-market effective values, the cold path's exact arithmetic."""
-        wtp = raw * self._scale(bundle)
-        market = wtp[wtp > 0]
-        return self._adoption.alpha * market + self._adoption.epsilon
-
-    def _sorted_state(self, bundle: Bundle, raw: np.ndarray) -> np.ndarray | None:
-        if not self._deterministic:
-            return None
-        return np.sort(self._effective(bundle, raw))
-
-    @property
-    def bundles(self) -> tuple[Bundle, ...]:
-        return tuple(self._entries)
+            if bundle not in self._raw:
+                self._raw[bundle] = engine.raw_wtp(bundle)
 
     def apply(self, delta: PopulationDelta, added: WTPMatrix | None = None) -> None:
-        """Advance every bundle's state across *delta*.
+        """Advance every bundle's raw-WTP vector across *delta*.
 
         *added* is ``delta.added_matrix(...)`` (so appended users' raw
         sums use the same arithmetic as the population's); pass
         ``None`` when the delta only removes users.
         """
         removed = np.asarray(delta.removed, dtype=np.intp)
-        for bundle, state in self._entries.items():
-            added_raw = (
-                added.raw_sum(bundle.items)
-                if added is not None
-                else np.empty(0, dtype=np.float64)
-            )
-            if state.sorted_effective is not None:
-                order = state.sorted_effective
-                if removed.size:
-                    order = sorted_delete(
-                        order, self._effective(bundle, state.raw[removed])
-                    )
-                if added_raw.size:
-                    order = sorted_insert(order, self._effective(bundle, added_raw))
-                state.sorted_effective = order
-            raw = state.raw
+        for bundle, raw in self._raw.items():
             if removed.size:
                 raw = np.delete(raw, removed)
-            if added_raw.size:
-                raw = np.concatenate([raw, added_raw])
-            state.raw = raw
+            if added is not None:
+                raw = np.concatenate([raw, added.raw_sum(bundle.items)])
+            self._raw[bundle] = raw
 
     def price(self, bundle: Bundle) -> PricedBundle:
         """The bundle's optimal standalone price on the current population."""
-        state = self._entries[bundle]
-        if state.sorted_effective is not None:
-            return price_pure_sorted(
-                state.sorted_effective, self._adoption, self._grid, bundle=bundle
-            )
+        # Same float expression as RevenueEngine.bundle_wtp (Equation 1).
+        scale = 1.0 + self._theta if bundle.size >= 2 else 1.0
         return price_pure(
-            state.raw * self._scale(bundle), self._adoption, self._grid, bundle=bundle
+            self._raw[bundle] * scale, self._adoption, self._grid, bundle=bundle
         )
-
-    def price_menu(
-        self, bundles: Sequence[Bundle] | None = None
-    ) -> list[PricedBundle]:
-        """Re-price the menu (insertion order, or the given order)."""
-        menu = bundles if bundles is not None else self._entries
-        return [self.price(b) for b in menu]

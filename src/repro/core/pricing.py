@@ -7,8 +7,11 @@ is found by scanning the levels, which costs O(M) per bundle.
 
 Two pricing problems are solved here:
 
-* **Pure pricing** (:func:`price_pure`, :func:`price_pure_batch`) — the
-  bundle is offered alone, so its price is independent of everything else.
+* **Pure pricing** (:func:`price_pure_batch`) — the bundle is offered
+  alone, so its price is independent of everything else.  This one kernel
+  prices the fits' pair scans, the engine's standalone prices, warm refit
+  and :func:`price_pure` (a one-column wrapper), so every path that asks
+  for a bundle's price gets the same bits.
 * **Mixed bundle pricing** (:func:`price_mixed_bundle`,
   :func:`price_mixed_bundle_batch`) — a bundle ``b = b1 ∪ b2`` is offered
   *in addition to* its components, whose prices are already fixed (the
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.adoption import AdoptionModel, StepAdoption
+from repro.core.adoption import AdoptionModel, StepAdoption, decision_tolerance
 from repro.core.bundle import Bundle
 from repro.errors import PricingError, ValidationError
 from repro.utils.validation import check_positive_int
@@ -39,13 +42,6 @@ DEFAULT_PRICE_LEVELS = 100
 #: this).  Callers that never think about chunking stay memory-bounded;
 #: passing ``None`` explicitly disables chunking everywhere.
 DEFAULT_CHUNK_ELEMENTS = 4_000_000
-
-#: Relative tolerance for "willingness to pay >= price level" comparisons.
-#: Ratings-derived WTP values coincide exactly with grid levels (e.g. the
-#: rating-4 class sits at level 80 of 100), and linspace arithmetic is off
-#: by an ulp — without a tolerance whole rating classes drop a bucket and
-#: revenue jumps discontinuously across otherwise-equivalent inputs.
-LEVEL_RTOL = 1e-9
 
 
 class PriceGrid:
@@ -97,8 +93,9 @@ class PriceGrid:
             return np.empty(0, dtype=np.float64)
         if self.mode == "exact":
             return np.unique(positive)
+        # The batch kernels' level arithmetic: level t sits at t · (top / T).
         top = float(positive.max())
-        return np.linspace(top / self.n_levels, top, self.n_levels)
+        return (top / self.n_levels) * np.arange(1, self.n_levels + 1)
 
     def __repr__(self) -> str:
         if self._explicit is not None:
@@ -177,22 +174,6 @@ def tree_sum(values: np.ndarray, axis: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------- pure
-def _expected_buyers(effective: np.ndarray, levels: np.ndarray, adoption: AdoptionModel) -> np.ndarray:
-    """Expected adopter counts at each level, for one bundle.
-
-    ``effective`` holds per-user ``α·w + ε`` values so the adoption decision
-    is simply a comparison against the price.
-    """
-    if adoption.is_deterministic:
-        order = np.sort(effective)
-        compare = levels - LEVEL_RTOL * (1.0 + np.abs(levels))
-        return effective.size - np.searchsorted(order, compare, side="left")
-    # Equation 6 exactly: σ(γ(effective − p)) summed over users.
-    gamma = getattr(adoption, "gamma", 1.0)
-    z = np.clip(gamma * (effective[None, :] - levels[:, None]), -500.0, 500.0)
-    return (1.0 / (1.0 + np.exp(-z))).sum(axis=1)
-
-
 def price_pure(
     wtp: np.ndarray,
     adoption: AdoptionModel | None = None,
@@ -201,77 +182,22 @@ def price_pure(
 ) -> PricedBundle:
     """Revenue-maximizing price for a bundle offered on its own.
 
+    One column of :func:`price_pure_batch`, so a standalone price carries
+    the same bits as the same bundle priced inside a fit's pair scan.
     Returns a :class:`PricedBundle`; a bundle nobody values gets price and
     revenue 0.  Ties in revenue break toward the lower price (more buyers,
     more consumer surplus, same revenue).
     """
-    adoption = adoption or StepAdoption()
-    grid = grid or PriceGrid()
     wtp = np.asarray(wtp, dtype=np.float64)
     if wtp.ndim != 1:
         raise ValidationError(f"wtp must be 1-D, got shape {wtp.shape}")
-    placeholder = bundle if bundle is not None else Bundle.of(0)
-    # Zero-WTP consumers are outside the bundle's market (see adoption docs).
-    wtp = wtp[wtp > 0]
-    if wtp.size == 0:
-        return PricedBundle(placeholder, 0.0, 0.0, 0.0)
-    effective = adoption.alpha * wtp + adoption.epsilon
-    if adoption.is_deterministic:
-        # The deterministic scan works off the sorted order anyway (see
-        # _expected_buyers), so it shares one code path with incremental
-        # callers that maintain the sorted array across population deltas.
-        return price_pure_sorted(
-            np.sort(effective), adoption, grid, bundle=placeholder
-        )
-    levels = grid.candidates(effective)
-    if levels.size == 0:
-        return PricedBundle(placeholder, 0.0, 0.0, 0.0)
-    buyers = _expected_buyers(effective, levels, adoption)
-    revenue = levels * buyers
-    best = int(np.argmax(revenue))  # argmax returns the first (lowest) level on ties
-    if revenue[best] <= 0:
-        return PricedBundle(placeholder, 0.0, 0.0, 0.0)
-    return PricedBundle(placeholder, float(levels[best]), float(revenue[best]), float(buyers[best]))
-
-
-def price_pure_sorted(
-    sorted_effective: np.ndarray,
-    adoption: AdoptionModel | None = None,
-    grid: PriceGrid | None = None,
-    bundle: Bundle | None = None,
-) -> PricedBundle:
-    """:func:`price_pure` from a pre-sorted in-market effective-WTP array.
-
-    ``sorted_effective`` holds the ascending per-user ``α·w + ε`` values of
-    the consumers with positive bundle WTP.  The level grid, the
-    ``LEVEL_RTOL`` slack, and the tie-break all use the same arithmetic as
-    :func:`price_pure` — which delegates its deterministic branch here — so
-    a caller that maintains the sorted array incrementally (one
-    sorted-delete/insert per population delta; the sorted order of a float
-    multiset does not depend on how it was reached) gets prices, revenues,
-    and buyer counts bit-identical to a cold re-price.  Deterministic
-    adoption only: the sigmoid expectation sums users in population order.
-    """
-    adoption = adoption or StepAdoption()
-    grid = grid or PriceGrid()
-    if not adoption.is_deterministic:
-        raise PricingError(
-            "price_pure_sorted requires a deterministic adoption model"
-        )
-    placeholder = bundle if bundle is not None else Bundle.of(0)
-    effective = np.asarray(sorted_effective, dtype=np.float64)
-    if effective.size == 0:
-        return PricedBundle(placeholder, 0.0, 0.0, 0.0)
-    levels = grid.candidates(effective)
-    if levels.size == 0:
-        return PricedBundle(placeholder, 0.0, 0.0, 0.0)
-    compare = levels - LEVEL_RTOL * (1.0 + np.abs(levels))
-    buyers = effective.size - np.searchsorted(effective, compare, side="left")
-    revenue = levels * buyers
-    best = int(np.argmax(revenue))  # argmax returns the first (lowest) level on ties
-    if revenue[best] <= 0:
-        return PricedBundle(placeholder, 0.0, 0.0, 0.0)
-    return PricedBundle(placeholder, float(levels[best]), float(revenue[best]), float(buyers[best]))
+    prices, revenues, buyers = price_pure_batch(wtp[:, None], adoption, grid)
+    return PricedBundle(
+        bundle if bundle is not None else Bundle.of(0),
+        float(prices[0]),
+        float(revenues[0]),
+        float(buyers[0]),
+    )
 
 
 def price_pure_batch(
@@ -280,13 +206,20 @@ def price_pure_batch(
     grid: PriceGrid | None = None,
     chunk_elements: int | None = DEFAULT_CHUNK_ELEMENTS,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized :func:`price_pure` over the columns of an ``(M, B)`` array.
+    """Revenue-maximizing standalone prices for the columns of an ``(M, B)`` array.
 
     Returns ``(prices, revenues, buyers)`` arrays of length ``B``.  This is
-    the hot path of the configuration algorithms: one call prices every
-    candidate pair of an iteration.  Every computation is column-independent,
-    so results are bit-identical however the caller batches the columns —
-    the streaming kernels of :mod:`repro.core.kernels` rely on this.
+    the one pure pricer: the hot path of the configuration algorithms (one
+    call prices a block of candidate pairs), and, one column at a time,
+    :func:`price_pure`, the engine's standalone prices and warm refit.
+    Every computation is column-independent, so results are bit-identical
+    however the caller batches the columns — the streaming kernels of
+    :mod:`repro.core.kernels` and the single-column callers rely on this.
+
+    Zero-WTP consumers follow :mod:`repro.core.adoption`: under the step
+    model they adopt at any level up to their effective WTP ``ε`` (so
+    they count as buyers only when ``ε > 0``), under the sigmoid model
+    never.
 
     For the deterministic model the scan uses a per-column histogram of
     effective WTP over the grid (O(M + T) per column, fully vectorized) in a
@@ -316,7 +249,7 @@ def price_pure_batch(
     if grid.mode == "explicit":
         return _price_explicit_batch(columns, adoption, grid.candidates(None), chunk_elements)
     if grid.mode == "exact":
-        return _price_exact_batch(columns, adoption)
+        return _price_exact_batch(columns, adoption, chunk_elements)
 
     if adoption.alpha == 1.0 and adoption.epsilon == 0.0:
         effective = columns  # α·x + ε is x itself; skip the pass
@@ -430,12 +363,12 @@ def _price_explicit_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized explicit-grid pricing (arbitrary ascending price list).
 
-    Replaces the former per-column loop of scalar :func:`price_pure` calls:
-    adopter counts for all levels and a chunk of columns are computed in one
-    broadcast comparison (deterministic) or sigmoid evaluation (stochastic).
-    Semantics match :func:`price_pure` exactly — zero-WTP consumers are out
-    of the market, revenue ties break toward the lower price, and columns
-    whose best revenue is non-positive come back as all zeros.
+    Adopter counts for all levels and a chunk of columns are computed in
+    one broadcast comparison (deterministic) or sigmoid evaluation
+    (stochastic).  Zero-WTP consumers follow the adoption model's rule
+    (see :mod:`repro.core.adoption`), revenue ties break toward the lower
+    price, and columns whose best revenue is non-positive come back as all
+    zeros.
     """
     n_users, n_bundles = columns.shape
     n_levels = levels.size
@@ -448,22 +381,21 @@ def _price_explicit_batch(
     in_market = columns > 0
     deterministic = adoption.is_deterministic
     if deterministic:
-        compare = levels - LEVEL_RTOL * (1.0 + np.abs(levels))
+        compare = levels - decision_tolerance(levels)
     gamma = getattr(adoption, "gamma", 1.0)
     budget = chunk_elements if chunk_elements is not None else n_users * n_levels * n_bundles
     chunk = max(1, budget // max(1, n_users * n_levels))
     for start in range(0, n_bundles, chunk):
         stop = min(start + chunk, n_bundles)
         eff = effective[:, start:stop]
-        market = in_market[:, start:stop]
         if deterministic:
             # Integer adopter counts: exact under any chunking.
-            adopter = (eff[None, :, :] >= compare[:, None, None]) & market[None, :, :]
+            adopter = eff[None, :, :] >= compare[:, None, None]
             buyers_levels = adopter.sum(axis=1).astype(np.float64)  # (T, c)
         else:
             z = np.clip(gamma * (eff[None, :, :] - levels[:, None, None]), -500.0, 500.0)
             probs = 1.0 / (1.0 + np.exp(-z))
-            probs *= market[None, :, :]
+            probs *= in_market[None, :, start:stop]
             buyers_levels = tree_sum(probs, axis=1)
         revenue_levels = levels[:, None] * buyers_levels
         best = np.argmax(revenue_levels, axis=0)  # first (lowest) level on ties
@@ -478,27 +410,46 @@ def _price_explicit_batch(
 
 
 def _price_exact_batch(
-    columns: np.ndarray, adoption: AdoptionModel
+    columns: np.ndarray,
+    adoption: AdoptionModel,
+    chunk_elements: int | None = DEFAULT_CHUNK_ELEMENTS,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact pricing (all WTP values as candidates) for the step model."""
-    if not adoption.is_deterministic:
-        raise PricingError("exact grid mode requires a deterministic adoption model")
+    """Grid-free pricing: every effective-WTP value is a candidate price.
+
+    Under the step model the revenue curve only changes at those values,
+    so the optimum is ``max (i+1)·v_i`` over each column's values sorted
+    descending.  Under the sigmoid model each column's in-market values
+    are scanned as levels, O(M²) per column (a reference, not a hot
+    path).  Ties break toward the lower price.
+    """
     effective = adoption.alpha * columns + adoption.epsilon
     n_users, n_bundles = effective.shape
-    sorted_desc = -np.sort(-effective, axis=0)
-    ranks = np.arange(1, n_users + 1, dtype=np.float64)[:, None]
-    revenue = sorted_desc * ranks
-    revenue[sorted_desc <= 0] = 0.0
-    best = np.argmax(revenue, axis=0)
+    if adoption.is_deterministic:
+        levels = -np.sort(-effective, axis=0)
+        ranks = np.arange(1, n_users + 1, dtype=np.float64)[:, None]
+        buyers = np.broadcast_to(ranks, levels.shape)
+        revenue = levels * ranks
+        revenue[levels <= 0] = 0.0
+        # The last maximum in descending order is the lowest tied price.
+        best = n_users - 1 - np.argmax(revenue[::-1], axis=0)
+    else:
+        # In-market values ascending; the out-of-market slots sort last and
+        # become level 0, which earns nothing.
+        levels = np.sort(np.where(columns > 0, effective, np.inf), axis=0)
+        levels[np.isinf(levels)] = 0.0
+        buyers = _sigmoid_buyers_exact(
+            columns, effective, levels, getattr(adoption, "gamma", 1.0), chunk_elements
+        )
+        revenue = levels * buyers
+        best = np.argmax(revenue, axis=0)
     take = np.arange(n_bundles)
-    prices = sorted_desc[best, take]
     revenues = revenue[best, take]
-    buyers = ranks[best, 0]
     dead = revenues <= 0
-    prices = np.where(dead, 0.0, prices)
-    revenues = np.where(dead, 0.0, revenues)
-    buyers = np.where(dead, 0.0, buyers)
-    return prices, revenues, buyers
+    return (
+        np.where(dead, 0.0, levels[best, take]),
+        np.where(dead, 0.0, revenues),
+        np.where(dead, 0.0, buyers[best, take]),
+    )
 
 
 # -------------------------------------------------------------------- mixed
@@ -589,7 +540,7 @@ def price_mixed_bundle(
     gamma = 1.0 if adoption.is_deterministic else getattr(adoption, "gamma", 1.0)
     utility = gamma * (effective[None, :] - levels[:, None])  # (T', M)
     if adoption.is_deterministic:
-        tol = LEVEL_RTOL * (1.0 + np.abs(levels))[:, None]
+        tol = decision_tolerance(levels)[:, None]
         take = (utility >= base_score[None, :] - tol) & (w_b > 0)[None, :]
     else:
         take = 1.0 / (1.0 + np.exp(-np.clip(utility - base_score[None, :], -500.0, 500.0)))
@@ -679,7 +630,7 @@ def price_mixed_bundle_batch(
         in_market = (w_b[:, start:stop] > 0)[None, :, :]
         delta = levels[:, None, :] - base_pays[None, :, start:stop]
         if deterministic:
-            tol = LEVEL_RTOL * (1.0 + np.abs(levels))[:, None, :]
+            tol = decision_tolerance(levels)[:, None, :]
             take = (utility >= base_scores[None, :, start:stop] - tol) & in_market
             # Gains accumulate per-user payments sequentially (the non-inner
             # reduction axis), so this path is chunk-invariant for widths
@@ -728,7 +679,7 @@ def price_mixed_bundle_batch_sorted(
 
     Under the step model, user ``u`` upgrades to the merged bundle at level
     ``t`` iff ``compare_t ≤ margin_u``, where ``compare_t = level_t −
-    LEVEL_RTOL·(1 + |level_t|)`` and ``margin_u = effective_u −
+    decision_tolerance(level_t)`` and ``margin_u = effective_u −
     base_score_u`` (below every threshold for users with zero bundle
     WTP).  The
     thresholds ascend, so each user upgrades at exactly the levels
@@ -825,7 +776,7 @@ def price_mixed_bundle_batch_sorted(
     span = n_levels + 2
     key += np.arange(0, width * span, span)
     thresholds = np.empty((width, span))
-    thresholds[:, 1 : n_levels + 1] = levels - LEVEL_RTOL * (1.0 + np.abs(levels))
+    thresholds[:, 1 : n_levels + 1] = levels - decision_tolerance(levels)
     thresholds[:, 0] = -np.inf
     thresholds[:, -1] = np.inf
     next_threshold = thresholds.ravel()[1:]

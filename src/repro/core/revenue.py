@@ -42,7 +42,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro import obs
-from repro.core.adoption import AdoptionModel, StepAdoption
+from repro.core.adoption import AdoptionModel, StepAdoption, decision_tolerance
 from repro.core.kernels import (
     DEFAULT_CHUNK_ELEMENTS,
     check_chunk_elements,
@@ -55,7 +55,6 @@ from repro.core.pricing import (
     PriceGrid,
     PricedBundle,
     check_mixed_kernel,
-    price_pure,
     resolve_mixed_kernel,
 )
 from repro.core.support import (
@@ -415,17 +414,12 @@ class RevenueEngine:
 
     # ---------------------------------------------------------- pure pricing
     def price_bundle(self, bundle: Bundle) -> PricedBundle:
-        """Revenue-maximizing standalone price for *bundle* (cached)."""
-        cached = self._price_cache.get(bundle)
-        if cached is not None:
-            return cached
-        self.stats.pure_pricings += 1
-        if self.objective is not None and not self.objective.is_pure_revenue:
-            priced = self._price_with_objective(bundle)
-        else:
-            priced = price_pure(self.bundle_wtp(bundle), self.adoption, self.grid, bundle=bundle)
-        self._price_cache[bundle] = priced
-        return priced
+        """Revenue-maximizing standalone price for *bundle* (cached).
+
+        A one-bundle :meth:`price_bundles`, so the answer has the same bits
+        whichever of the two priced the bundle first.
+        """
+        return self.price_bundles([bundle])[0]
 
     def _price_streamed(self, missing: Sequence[Bundle], fill) -> None:
         """Price *missing* bundles through the streaming kernel and cache them."""
@@ -450,8 +444,9 @@ class RevenueEngine:
         missing = [b for b in bundles if b not in self._price_cache]
         if missing:
             if self.objective is not None and not self.objective.is_pure_revenue:
+                self.stats.pure_pricings += len(missing)
                 for bundle in missing:
-                    self.price_bundle(bundle)
+                    self._price_cache[bundle] = self._price_with_objective(bundle)
             else:
 
                 def fill(block: np.ndarray, start: int, stop: int) -> None:
@@ -729,7 +724,7 @@ class RevenueEngine:
         if levels.size == 0:
             return PricedBundle(bundle, 0.0, 0.0, 0.0)
         cost = objective.bundle_cost(bundle)
-        compare = levels - 1e-9 * (1.0 + np.abs(levels))
+        compare = levels - decision_tolerance(levels)
         adopter = effective[None, :] >= compare[:, None]  # (T, M)
         buyers = adopter.sum(axis=1)
         revenue = levels * buyers

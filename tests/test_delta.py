@@ -18,7 +18,7 @@ from repro.api import (
     PopulationDelta,
 )
 from repro.core.adoption import SigmoidAdoption
-from repro.core.delta import IncrementalMenuPricer, sorted_delete, sorted_insert
+from repro.core.delta import IncrementalMenuPricer
 from repro.core.evaluation import evaluate
 from repro.core.revenue import DEFAULT_DRIFT_THRESHOLD, RevenueEngine
 from repro.errors import ValidationError
@@ -93,38 +93,6 @@ class TestPopulationDelta:
             [np.delete(handmade_wtp.values, 1, axis=0), [[1.0, 2.0, 3.0]]]
         )
         assert np.array_equal(new.values, expected)
-
-
-class TestSortedEdits:
-    def test_insert_matches_cold_sort_bitwise(self, rng):
-        base = np.sort(rng.uniform(0.0, 10.0, size=64))
-        extra = np.concatenate([rng.uniform(0.0, 10.0, size=9), base[:3]])
-        merged = sorted_insert(base, extra)
-        assert np.array_equal(merged, np.sort(np.concatenate([base, extra])))
-
-    def test_delete_removes_one_occurrence_per_value(self):
-        base = np.array([1.0, 2.0, 2.0, 2.0, 5.0])
-        out = sorted_delete(base, np.array([2.0, 2.0]))
-        assert np.array_equal(out, np.array([1.0, 2.0, 5.0]))
-
-    def test_delete_then_insert_round_trips(self, rng):
-        # Integer-valued floats guarantee duplicated values in the multiset.
-        base = np.sort(rng.integers(0, 6, size=40).astype(np.float64))
-        taken = base[[0, 7, 8, 13, 39]]
-        restored = sorted_insert(sorted_delete(base, taken), taken)
-        assert np.array_equal(restored, base)
-
-    def test_delete_missing_value_raises(self):
-        base = np.array([1.0, 3.0])
-        with pytest.raises(ValidationError, match="not present"):
-            sorted_delete(base, np.array([2.0]))
-        with pytest.raises(ValidationError, match="not present"):
-            sorted_delete(base, np.array([4.0]))
-
-    def test_empty_edits_are_no_ops(self):
-        base = np.array([1.0, 2.0])
-        assert sorted_insert(base, np.empty(0)) is base
-        assert sorted_delete(base, np.empty(0)) is base
 
 
 class TestEngineApplyDelta:

@@ -14,7 +14,7 @@ on the upgrade *sets* and the shared level grid — must match exactly.
 
 Property-style randomized instances cover: step adoption with bias/offset,
 varied floors/ceilings (including infeasible intervals), WTP values sitting
-*exactly* on grid levels (exercising ``LEVEL_RTOL``), all-zero columns, and
+*exactly* on grid levels (exercising ``DECISION_RTOL``), all-zero columns, and
 the streaming layer's chunk/worker matrix (serial and ``n_workers=4``,
 chunked and unchunked).  The sorted kernel itself must additionally be
 *bit-identical* across every chunk/worker configuration: each pair's
@@ -28,10 +28,9 @@ import pytest
 
 from repro.algorithms.greedy import GreedyMerge
 from repro.algorithms.matching_iterative import IterativeMatching
-from repro.core.adoption import SigmoidAdoption, StepAdoption
+from repro.core.adoption import DECISION_RTOL, SigmoidAdoption, StepAdoption
 from repro.core.kernels import stream_mixed_merges
 from repro.core.pricing import (
-    LEVEL_RTOL,
     MIXED_KERNELS,
     PriceGrid,
     check_mixed_kernel,
@@ -52,7 +51,7 @@ def random_instance(rng, n_users=80, n_pairs=25, adoption=None, on_grid=0):
 
     ``on_grid`` places that many users per column with effective WTP
     *exactly* on a feasible grid level plus their base score, so the
-    ``margin == level`` knife edge that ``LEVEL_RTOL`` protects is
+    ``margin == level`` knife edge that ``DECISION_RTOL`` protects is
     genuinely exercised (linspace arithmetic reproduces the level to the
     bit in both kernels).
     """
@@ -182,7 +181,7 @@ class TestSortedMatchesBand:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_wtp_exactly_on_grid_levels(self, seed):
-        """Knife-edge margins (WTP on grid levels) exercise LEVEL_RTOL."""
+        """Knife-edge margins (WTP on grid levels) exercise DECISION_RTOL."""
         rng = np.random.default_rng(1000 + seed)
         adoption = StepAdoption()
         instance = random_instance(rng, adoption=adoption, on_grid=6)
@@ -198,7 +197,7 @@ class TestSortedMatchesBand:
         hits = 0
         for k in np.flatnonzero(band[3]):
             if band[0][k] > 0:
-                compare = band[0][k] - LEVEL_RTOL * (1.0 + band[0][k])
+                compare = band[0][k] - DECISION_RTOL * (1.0 + band[0][k])
                 exact = np.isclose(margins[:, k], band[0][k], rtol=1e-12, atol=0)
                 hits += int(np.count_nonzero(exact & (margins[:, k] >= compare)))
         assert hits > 0

@@ -4,7 +4,7 @@ Three contracts are pinned here:
 
 * **exact pricing** — :func:`~repro.core.pricing.price_mixed_bundle_batch_sorted`
   agrees with a small oracle that tests every level's upgrade set with the
-  same float threshold (``margin >= level - LEVEL_RTOL * (1 + |level|)``)
+  same float threshold (``margin >= level - DECISION_RTOL * (1 + |level|)``)
   and sums payments exactly with :class:`fractions.Fraction`: feasibility,
   per-level upgrade counts and ``upgraded`` match exactly; the chosen
   price's exact gain is within ``1e-12 * (1 + sum(pay))`` of the exact
@@ -28,11 +28,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro import obs
-from repro.core.adoption import StepAdoption
+from repro.core.adoption import DECISION_RTOL, StepAdoption
 from repro.core.kernels import SCAN_BLOCK_ELEMENTS, stream_mixed_merges
 from repro.core.pricing import (
     DEFAULT_CHUNK_ELEMENTS,
-    LEVEL_RTOL,
     PriceGrid,
     price_mixed_bundle_batch_sorted,
 )
@@ -57,7 +56,7 @@ def oracle_column(wtp, score, pay, floor, ceiling, adoption, n_levels):
     band = (levels > floor) & (levels < ceiling)
     if not band.any():
         return None
-    compare = levels - LEVEL_RTOL * (1.0 + np.abs(levels))
+    compare = levels - DECISION_RTOL * (1.0 + np.abs(levels))
     margin = np.where(wtp > 0, effective - score, -np.inf)
     # The upgrade set at a level is {margin >= compare}: with users by
     # descending margin, it is the first `count` of them.
@@ -161,7 +160,7 @@ COLUMN_KINDS = {
     "uniform": st.floats(min_value=0.0, max_value=60.0, allow_nan=False),
     "ratings": st.sampled_from(RATING_WTP),
     "sparse": st.sampled_from((0.0, 0.0, 0.0, 2.5, 3.75, 17.3)),
-    # Tops near 1e-8: the LEVEL_RTOL slack (>= 1e-9) spans several levels.
+    # Tops near 1e-8: the DECISION_RTOL slack (>= 1e-9) spans several levels.
     "tiny": st.floats(min_value=0.0, max_value=3e-8, allow_nan=False),
     "dead": st.just(0.0),
 }
@@ -310,7 +309,7 @@ def test_tiny_top_buckets_need_several_corrections():
     pay = np.array([1e-9, 0.0, 2e-9, 3e-9, 4e-9, 0.0])
     margin = np.where(wtp > 0, wtp - score, -np.inf)
     levels = step * np.arange(1, n_levels + 1, dtype=np.float64)
-    compare = levels - LEVEL_RTOL * (1.0 + np.abs(levels))
+    compare = levels - DECISION_RTOL * (1.0 + np.abs(levels))
     exact_buckets = np.searchsorted(compare, margin, side="right")
     estimate = np.nan_to_num(np.floor(margin / step), neginf=0.0)
     assert np.max(exact_buckets - np.clip(estimate, 0, n_levels)) >= 5

@@ -130,24 +130,31 @@ class TestPricePureBatch:
         prices, revenues, buyers = price_pure_batch(columns, StepAdoption(), PriceGrid(100))
         for j in range(columns.shape[1]):
             scalar = price_pure(columns[:, j], StepAdoption(), PriceGrid(100))
-            assert revenues[j] == pytest.approx(scalar.revenue), f"column {j}"
-            assert buyers[j] == pytest.approx(scalar.buyers)
+            assert prices[j] == scalar.price, f"column {j}"
+            assert revenues[j] == scalar.revenue, f"column {j}"
+            assert buyers[j] == scalar.buyers, f"column {j}"
 
     def test_matches_scalar_sigmoid(self, rng):
         columns = rng.uniform(0, 25, size=(80, 9))
         columns[rng.random(columns.shape) < 0.3] = 0.0
         model = SigmoidAdoption(gamma=2.0)
-        prices, revenues, _ = price_pure_batch(columns, model, PriceGrid(100))
+        prices, revenues, buyers = price_pure_batch(columns, model, PriceGrid(100))
         for j in range(columns.shape[1]):
             scalar = price_pure(columns[:, j], model, PriceGrid(100))
-            assert revenues[j] == pytest.approx(scalar.revenue, rel=1e-9)
+            assert prices[j] == scalar.price, f"column {j}"
+            assert revenues[j] == scalar.revenue, f"column {j}"
+            assert buyers[j] == scalar.buyers, f"column {j}"
 
     def test_exact_mode_batch(self, rng):
         columns = rng.uniform(0, 25, size=(40, 11))
-        _, revenues, _ = price_pure_batch(columns, StepAdoption(), PriceGrid(mode="exact"))
+        prices, revenues, buyers = price_pure_batch(
+            columns, StepAdoption(), PriceGrid(mode="exact")
+        )
         for j in range(columns.shape[1]):
             scalar = price_pure(columns[:, j], StepAdoption(), PriceGrid(mode="exact"))
-            assert revenues[j] == pytest.approx(scalar.revenue)
+            assert prices[j] == scalar.price, f"column {j}"
+            assert revenues[j] == scalar.revenue, f"column {j}"
+            assert buyers[j] == scalar.buyers, f"column {j}"
 
     def test_zero_columns(self):
         columns = np.zeros((10, 3))
