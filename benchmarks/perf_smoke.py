@@ -1,4 +1,5 @@
-"""CI perf-smoke gates: threaded pair scans and blossom matching must be fast.
+"""CI perf-smoke gates: threaded pair scans, blossom matching and the
+compiled offer forest must be fast.
 
 The committed ``BENCH_scalability.json`` was recorded on a 1-CPU container,
 where every "parallel" ratio measures overhead rather than parallelism
@@ -26,6 +27,14 @@ weight as ``networkx.max_weight_matching`` and run at least
 ``MATCHING_MIN_SPEEDUP`` times faster, both timed on the same runner.  Its
 figures go under ``"matching"`` in the report.
 
+A third gate also needs one core and always runs: on a seeded ~115-offer
+``mixed_matching`` menu (the served menu's recipe: 2,000 users × 60 items,
+θ = 0.1), 1-row and 16-row quotes through the compiled
+:class:`~repro.core.choice.ForestPlan` must equal the per-node recursion
+of ``tests/forest_oracles.py`` bit for bit (payments, and buyers per offer)
+and run at least ``FOREST_MIN_SPEEDUP`` times faster.  Its figures go
+under ``"forest"``.
+
 Run from the repo root::
 
     PYTHONPATH=src python benchmarks/perf_smoke.py --n-workers 2
@@ -34,6 +43,7 @@ Run from the repo root::
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import platform
 import sys
@@ -42,9 +52,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.api import EngineConfig
+from repro.api import BundlingSolver, EngineConfig
 from repro.core.kernels import available_cpus
 from repro.data.synthetic import amazon_books_like
+from repro.core.wtp import WTPMatrix
 from repro.data.wtp_mapping import wtp_from_ratings
 from repro.matching import solve_matching
 
@@ -54,6 +65,14 @@ DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "perf_smoke.json"
 MATCHING_MIN_SPEEDUP = 6.0
 #: The matching gate's graph, shaped like a wide mixed fit's first round.
 MATCHING_GRAPH = {"n_vertices": 120, "density": 0.97, "seed": 0}
+#: Required recursion ÷ plan wall-time ratio per quote on the forest menu.
+FOREST_MIN_SPEEDUP = 3.0
+#: The forest gate's menu: ``mixed_matching`` on the first ``fit_users``
+#: rows of a seeded Books-like population; later rows are quoted.
+FOREST_MENU = {"fit_users": 2000, "n_items": 60, "seed": 2, "theta": 0.1}
+#: Quotes timed per request size, and the request sizes.
+FOREST_REQUESTS = 60
+FOREST_ROWS = (1, 16)
 
 
 def dense_gain_graph(n_vertices: int, density: float, seed: int) -> list:
@@ -109,6 +128,93 @@ def matching_cell(repeats: int = 3) -> dict:
     }
 
 
+def _forest_oracle():
+    """``tests/forest_oracles.py``, loaded by path (it is not a package)."""
+    path = Path(__file__).resolve().parent.parent / "tests" / "forest_oracles.py"
+    spec = importlib.util.spec_from_file_location("repro_forest_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.recursive_evaluate_forest, module.engine_wtp_of
+
+
+def _same_choice(outcome, expected) -> bool:
+    """Payments byte for byte, and buyers per offer to the last bit."""
+    buyers = [
+        {bundle: float(n).hex() for bundle, n in result.buyers_per_offer.items()}
+        for result in (outcome, expected)
+    ]
+    same_payments = outcome.payments.tobytes() == expected.payments.tobytes()
+    return same_payments and buyers[0] == buyers[1]
+
+
+def forest_cell(repeats: int = 3) -> dict:
+    """Quotes through the compiled forest against the per-node recursion."""
+    recursive_evaluate_forest, engine_wtp_of = _forest_oracle()
+    n_fit = FOREST_MENU["fit_users"]
+    theta = FOREST_MENU["theta"]
+    dataset = amazon_books_like(
+        n_users=n_fit + FOREST_REQUESTS * max(FOREST_ROWS),
+        n_items=FOREST_MENU["n_items"],
+        seed=FOREST_MENU["seed"],
+    )
+    values = wtp_from_ratings(dataset, conversion=1.25).values
+    solver = BundlingSolver("mixed_matching", EngineConfig(theta=theta))
+    solution = solver.fit(WTPMatrix(values[:n_fit]))
+    forest = solution.configuration.forest()
+    plan = solution.configuration.plan()
+    adoption = solution.engine_config.adoption.build()
+    held_out = values[n_fit:]
+    cells = {}
+    for n_rows in FOREST_ROWS:
+        requests = [
+            WTPMatrix(held_out[k * n_rows : (k + 1) * n_rows])
+            for k in range(FOREST_REQUESTS)
+        ]
+        identical = True
+        for rows in requests:
+            expected = recursive_evaluate_forest(
+                forest, engine_wtp_of(rows, theta), adoption
+            )
+            payments = plan.payments(rows, theta, adoption)
+            identical &= payments.tobytes() == expected.payments.tobytes()
+            identical &= _same_choice(plan.evaluate(rows, theta, adoption), expected)
+        plan_s, _ = _best_of(
+            repeats,
+            lambda batch: [plan.payments(rows, theta, adoption) for rows in batch],
+            requests,
+        )
+        oracle_s, _ = _best_of(
+            repeats,
+            lambda batch: [
+                recursive_evaluate_forest(forest, engine_wtp_of(rows, theta), adoption)
+                for rows in batch
+            ],
+            requests,
+        )
+        cells[f"rows_{n_rows}"] = {
+            "plan_ms_per_quote": round(1e3 * plan_s / FOREST_REQUESTS, 4),
+            "oracle_ms_per_quote": round(1e3 * oracle_s / FOREST_REQUESTS, 4),
+            "speedup_x": round(oracle_s / max(plan_s, 1e-9), 2),
+            "bit_identical": identical,
+        }
+    bit_identical = all(cell["bit_identical"] for cell in cells.values())
+    speedup = min(cell["speedup_x"] for cell in cells.values())
+    return {
+        "menu": {
+            **FOREST_MENU,
+            "offers": len(plan.nodes),
+            "heights": len(plan.levels),
+            "bundle_sizes": len(plan.size_groups),
+        },
+        "requests_per_size": FOREST_REQUESTS,
+        **cells,
+        "bit_identical": bit_identical,
+        "speedup_x": speedup,
+        "gate": f"bit-identical and recursion / plan >= {FOREST_MIN_SPEEDUP}x",
+        "passed": bit_identical and speedup >= FOREST_MIN_SPEEDUP,
+    }
+
+
 def run_scans(config: EngineConfig, wtp) -> dict:
     """Time one pure and one mixed pair scan under *config*.
 
@@ -158,10 +264,22 @@ def build_report(args) -> tuple[dict, int]:
             f"(gate {MATCHING_MIN_SPEEDUP}x), same weight: {matching['same_weight']}",
             file=sys.stderr,
         )
-    matching_code = 0 if matching["passed"] else 1
+    forest = forest_cell()
+    print(json.dumps({"forest": forest}, indent=1))
+    if not forest["passed"]:
+        print(
+            f"FAIL: the compiled forest is {forest['speedup_x']}x the recursion "
+            f"(gate {FOREST_MIN_SPEEDUP}x), bit-identical: {forest['bit_identical']}",
+            file=sys.stderr,
+        )
+    one_core_code = 0 if matching["passed"] and forest["passed"] else 1
     report = {
-        "benchmark": "perf-smoke (threaded vs serial pair scans; blossom vs networkx)",
+        "benchmark": (
+            "perf-smoke (threaded vs serial pair scans; blossom vs networkx; "
+            "compiled forest vs recursion)"
+        ),
         "matching": matching,
+        "forest": forest,
         "base": {"n_users": 400, "n_items": 60, "seed": 2},
         "clone_factor": args.factor,
         "n_workers": args.n_workers,
@@ -178,7 +296,7 @@ def build_report(args) -> tuple[dict, int]:
             "gate is meaningless without a second core"
         )
         print(f"SKIP: {report['skipped']}")
-        return report, matching_code
+        return report, one_core_code
 
     dataset = amazon_books_like(n_users=400, n_items=60, seed=2)
     wtp = wtp_from_ratings(dataset, conversion=1.25).clone_users(args.factor)
@@ -237,7 +355,7 @@ def build_report(args) -> tuple[dict, int]:
             f"{args.min_speedup}x gate",
             file=sys.stderr,
         )
-    return report, 0 if passed and not matching_code else 1
+    return report, 0 if passed and not one_core_code else 1
 
 
 def main() -> int:

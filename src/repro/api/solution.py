@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.api.config import AlgorithmSpec, EngineConfig
 from repro.core.bundle import Bundle
-from repro.core.choice import evaluate_forest
 from repro.core.configuration import MixedConfiguration, PureConfiguration
 from repro.core.evaluation import EvaluationReport, evaluate, expected_pure_outcome
 from repro.core.pricing import PricedBundle
@@ -240,8 +239,8 @@ class BundlingSolution:
             # per-user payments alongside.
             expected, buyers, payments = expected_pure_outcome(configuration, engine)
         else:
-            outcome = evaluate_forest(
-                configuration.forest(), engine.bundle_wtp, engine.adoption
+            outcome = configuration.plan().evaluate(
+                engine.wtp, engine.theta, engine.adoption
             )
             expected = outcome.revenue
             buyers = outcome.buyers_per_offer

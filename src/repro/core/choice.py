@@ -38,6 +38,34 @@ the partition function factorizes across sibling subtrees.  The same
 recursion powers the incremental mixed-merge pricing of Section 4.2, so
 gains measured during search agree exactly with the final evaluation.
 
+Evaluation runs one compiled :class:`ForestPlan` per configuration: fit
+finalization, mixed refit, ``solution.quote`` and the quote server all
+call it, and :func:`evaluate_forest` compiles one for an ad-hoc forest.
+The plan applies the recursion one tree *height* at a time, across every
+offer of that height, in blocks of at most
+``SCAN_BLOCK_ELEMENTS // n_offers`` users.  A block costs
+O(heights + fan-out + bundle sizes) numpy calls and O(#offers · M)
+arithmetic; a per-offer recursion costs about thirty calls per offer,
+which dominates a quote of a few rows.  The plan reproduces the
+recursion bit for bit (``tests/forest_oracles.py`` keeps the recursion
+as its oracle) by keeping every floating-point operation in the same
+order:
+
+* **bundle WTP** is one :meth:`~repro.core.wtp.WTPMatrix.raw_sums`
+  gather per bundle size, which sums each bundle exactly as
+  :meth:`~repro.core.wtp.WTPMatrix.raw_sum` does on as many rows;
+  ``(1 + θ)`` scales sizes ≥ 2, as ``RevenueEngine._scale`` does.  A
+  block never holds a lone row of a larger population, since numpy sums
+  a one-row gather in a different (pairwise) order;
+* **children** fold into the base state in child order (the first
+  child's state, then each further child added in place), never padded
+  with ``+ 0.0``; **roots** fold in root order;
+* the decision **tolerances** are the expressions of
+  :func:`upgrade_probability` and :func:`decision_tolerance`, unchanged;
+* **buyers** under step adoption are 0/1 per user, so block counts add
+  up exactly; under sigmoid adoption each offer keeps one full-length row
+  and reduces it once, as a whole-population array would.
+
 Enumeration-based reference implementations (:func:`choose_mnl_enumerated`,
 :func:`enumerate_antichains`) are kept for cross-validation in the tests.
 """
@@ -45,12 +73,16 @@ Enumeration-based reference implementations (:func:`choose_mnl_enumerated`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.adoption import DECISION_RTOL, AdoptionModel, decision_tolerance
 from repro.core.bundle import Bundle, laminar_order, laminar_walk
+from repro.core.kernels import SCAN_BLOCK_ELEMENTS
 from repro.core.pricing import PricedBundle
+from repro.core.wtp import WTPMatrix
 from repro.errors import ConfigurationError
 from repro.utils.rng import ensure_rng
 
@@ -161,7 +193,9 @@ class SubtreeState:
         return SubtreeState(self.score.astype(dtype), self.pay.astype(dtype))
 
 
-def singleton_state(wtp: np.ndarray, price: float, adoption: AdoptionModel) -> SubtreeState:
+def singleton_state(
+    wtp: np.ndarray, price: float, adoption: AdoptionModel
+) -> SubtreeState:
     """State of a leaf offer (a bundle offered with no sub-offers)."""
     utility = adoption.utility(wtp, price)
     if adoption.is_deterministic:
@@ -226,51 +260,247 @@ class ChoiceOutcome:
         return float(self.payments.sum())
 
 
+class _Level(NamedTuple):
+    """One height of a :class:`ForestPlan`: plan rows ``lo:hi``."""
+
+    lo: int
+    hi: int
+    prices: np.ndarray  # (n, 1)
+    floor: np.ndarray  # (n, 1): -decision_tolerance(prices)
+    children: np.ndarray  # (n, fan-out) child rows, zero-padded
+    counts: list[int]  # counts[k]: nodes with a k-th child (a prefix)
+    parents: np.ndarray  # (n,) parent rows; n_nodes for a root
+
+
+class ForestPlan:
+    """A laminar offer forest compiled once for level-by-level evaluation.
+
+    Nodes are numbered by *height* (leaves 0, a parent one above its
+    tallest child), so every height is one contiguous run of rows and all
+    of a node's children have rows below it.  Within a height, nodes are
+    ordered by falling fan-out, so the nodes with a ``k``-th child are a
+    prefix of the run.  The plan holds, per height, the price column, its
+    decision floor ``-decision_tolerance(price)``, a padded child-row
+    matrix and each node's parent row; per bundle size, the ``(n_s, s)``
+    item-index matrix of that size's offers; and the root rows in root
+    order.  It keeps no WTP, so one plan serves any population.
+    """
+
+    def __init__(self, roots: list[OfferNode]) -> None:
+        preorder: list[OfferNode] = []
+        stack = list(reversed(roots))
+        while stack:
+            node = stack.pop()
+            preorder.append(node)
+            stack.extend(reversed(node.children))
+        height: dict[int, int] = {}
+        for node in reversed(preorder):
+            below = [height[id(child)] for child in node.children]
+            height[id(node)] = 1 + max(below, default=-1)
+        # Heights ascending; within a height, fan-out descending (stable).
+        nodes = sorted(preorder, key=lambda n: (height[id(n)], -len(n.children)))
+        row = {id(node): k for k, node in enumerate(nodes)}
+        parent = np.full(len(nodes), len(nodes), dtype=np.intp)
+        for node in nodes:
+            for child in node.children:
+                parent[row[id(child)]] = row[id(node)]
+        prices = np.asarray([node.offer.price for node in nodes], dtype=np.float64)
+        self.nodes: tuple[OfferNode, ...] = tuple(nodes)
+        self.roots = np.asarray([row[id(root)] for root in roots], dtype=np.intp)
+        self.preorder = np.asarray([row[id(node)] for node in preorder], dtype=np.intp)
+        self.levels: list[_Level] = []
+        lo = 0
+        while lo < len(nodes):
+            hi = lo + 1
+            while hi < len(nodes) and height[id(nodes[hi])] == height[id(nodes[lo])]:
+                hi += 1
+            fanouts = [len(node.children) for node in nodes[lo:hi]]
+            children = np.zeros((hi - lo, fanouts[0]), dtype=np.intp)
+            for k, node in enumerate(nodes[lo:hi]):
+                children[k, : fanouts[k]] = [row[id(c)] for c in node.children]
+            counts = [sum(f > k for f in fanouts) for k in range(fanouts[0])]
+            column = prices[lo:hi, None]
+            floor = -decision_tolerance(column)
+            self.levels.append(
+                _Level(lo, hi, column, floor, children, counts, parent[lo:hi])
+            )
+            lo = hi
+        by_size: dict[int, list[int]] = {}
+        for k, node in enumerate(nodes):
+            by_size.setdefault(node.bundle.size, []).append(k)
+        self.size_groups: list[tuple[int, np.ndarray, np.ndarray]] = [
+            (
+                size,
+                np.asarray(rows, dtype=np.intp),
+                np.asarray([nodes[k].bundle.items for k in rows], dtype=np.intp),
+            )
+            for size, rows in sorted(by_size.items())
+        ]
+        #: Users per evaluation block: each ``(n_nodes, rows)`` work array
+        #: holds at most ``SCAN_BLOCK_ELEMENTS`` values.
+        self.block_rows = max(2, SCAN_BLOCK_ELEMENTS // max(1, len(nodes)))
+
+    # ------------------------------------------------------------ public API
+    def payments(
+        self, wtp: WTPMatrix, theta: float, adoption: AdoptionModel
+    ) -> np.ndarray:
+        """Per-user expected payment of the users of *wtp*.
+
+        Each offer's WTP is Equation 1 with interaction *theta*.  The
+        buyers pass is skipped.
+        """
+        block_wtp = partial(self._block_wtp, wtp, theta)
+        payments, _ = self._run(wtp.n_users, block_wtp, adoption, False)
+        return payments
+
+    def evaluate(
+        self, wtp: WTPMatrix, theta: float, adoption: AdoptionModel
+    ) -> ChoiceOutcome:
+        """:meth:`payments` plus the expected buyers of every offer."""
+        block_wtp = partial(self._block_wtp, wtp, theta)
+        payments, buyers = self._run(wtp.n_users, block_wtp, adoption, True)
+        return ChoiceOutcome(payments=payments, buyers_per_offer=buyers)
+
+    # ------------------------------------------------------------- internals
+    def _block_wtp(self, wtp: WTPMatrix, theta: float, lo: int, hi: int) -> np.ndarray:
+        """``(n_nodes, hi - lo)`` Equation-1 WTP of users ``lo:hi``.
+
+        One :meth:`~repro.core.wtp.WTPMatrix.raw_sums` gather per bundle
+        size, which sums each bundle as ``raw_sum`` does on as many rows.
+        A one-row gather sums in another order, so blocks hold at least two
+        rows unless the population is a single user (see :meth:`_run`).
+        """
+        block = np.empty((len(self.nodes), hi - lo))
+        for size, rows, items in self.size_groups:
+            raw = wtp.raw_sums(items, lo, hi)
+            if size >= 2:
+                raw *= 1.0 + theta
+            block[rows] = raw.T
+        return block
+
+    def _run(
+        self, n_users: int, block_wtp, adoption: AdoptionModel, with_buyers: bool
+    ) -> tuple[np.ndarray, dict[Bundle, float] | None]:
+        """Payments (and buyers) of *n_users* users, one row block at a time.
+
+        ``block_wtp(lo, hi)`` gives the offers' WTP rows for users
+        ``lo:hi``.  Deterministic buyers are 0/1 per user, so per-block
+        counts add up exactly; stochastic buyers keep one full-length row
+        per offer and reduce it once, the same pairwise sum as a
+        whole-population array.
+        """
+        payments = np.empty(n_users)
+        exact_counts = adoption.is_deterministic
+        if not with_buyers:
+            taken_rows = None
+        elif exact_counts:
+            taken_rows = np.zeros(len(self.nodes))
+        else:
+            taken_rows = np.empty((len(self.nodes), n_users))
+        starts = list(range(0, n_users, self.block_rows))
+        if len(starts) > 1 and n_users - starts[-1] == 1:
+            starts.pop()  # a lone last row joins its predecessor block
+        for lo, hi in zip(starts, starts[1:] + [n_users]):
+            pay, take = self._bottom_up(block_wtp(lo, hi), adoption)
+            # Roots fold in root order, like the payments of sibling trees.
+            payments[lo:hi] = np.add.accumulate(pay[self.roots], axis=0)[-1]
+            if taken_rows is not None:
+                taken = self._top_down(take)
+                if exact_counts:
+                    taken_rows += taken.sum(axis=1)
+                else:
+                    taken_rows[:, lo:hi] = taken
+        if taken_rows is None:
+            return payments, None
+        counts = taken_rows if exact_counts else taken_rows.sum(axis=1)
+        buyers = {self.nodes[k].bundle: float(counts[k]) for k in self.preorder}
+        return payments, buyers
+
+    def _bottom_up(
+        self, wtp: np.ndarray, adoption: AdoptionModel
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every node's subtree payment and take probability, one height at
+        a time (the :func:`merged_state` update, vectorized over a height)."""
+        score = np.empty_like(wtp)
+        pay = np.empty_like(wtp)
+        take = np.empty_like(wtp)
+        deterministic = adoption.is_deterministic
+        for lo, hi, prices, floor, children, counts, _ in self.levels:
+            utility = adoption.utility(wtp[lo:hi], prices)
+            # The base (children's combined state) is built in place in
+            # this height's own rows, then updated by the offer itself.
+            base_score, base_pay = score[lo:hi], pay[lo:hi]
+            if not counts:
+                base_score[...] = 0.0
+                base_pay[...] = 0.0
+            else:
+                # Sibling states fold in child order: the first child's
+                # state, then each further child added where it exists.
+                base_score[...] = score[children[:, 0]]
+                base_pay[...] = pay[children[:, 0]]
+                for k in range(1, len(counts)):
+                    n = counts[k]
+                    rows = children[:n, k]
+                    np.add(base_score[:n], score[rows], out=base_score[:n])
+                    np.add(base_pay[:n], pay[rows], out=base_pay[:n])
+            if deterministic:
+                # upgrade_probability's slack, DECISION_RTOL·(1 + |u| + |base|).
+                bar = np.abs(utility)
+                bar += 1.0
+                bar += np.abs(base_score)
+                bar *= DECISION_RTOL
+                np.subtract(base_score, bar, out=bar)
+                taken = utility >= bar
+                taken &= utility >= floor
+                take[lo:hi] = taken
+                np.maximum(base_score, utility, out=base_score)
+                np.maximum(base_score, 0.0, out=base_score)
+                np.copyto(base_pay, prices, where=taken)
+            else:
+                upgrade = _sigmoid(utility - base_score)
+                take[lo:hi] = upgrade
+                np.logaddexp(base_score, utility, out=base_score)
+                base_pay *= 1.0 - upgrade
+                base_pay += upgrade * prices
+        return pay, take
+
+    def _top_down(self, take: np.ndarray) -> np.ndarray:
+        """P(user takes each node): P(node | subtree) · P(no ancestor taken),
+        one height at a time from the top."""
+        taken = np.empty_like(take)
+        # Row n_nodes is the roots' "parent": everyone is still choosing.
+        remaining = np.empty((take.shape[0] + 1, take.shape[1]))
+        remaining[-1] = 1.0
+        for level in reversed(self.levels):
+            lo, hi = level.lo, level.hi
+            alive = remaining[level.parents]
+            taken[lo:hi] = alive * take[lo:hi]
+            remaining[lo:hi] = alive * (1.0 - take[lo:hi])
+        return taken
+
+
 def evaluate_forest(
     roots: list[OfferNode], wtp_of, adoption: AdoptionModel
 ) -> ChoiceOutcome:
     """Exact expected choice outcome over a laminar offer forest.
 
-    ``wtp_of`` maps a :class:`Bundle` to the per-user WTP vector (the
-    engine supplies Equation 1).  Works for deterministic and stochastic
-    adoption alike via the subtree-state recursion; per-offer buyer counts
-    come from a top-down pass (P(node) = P(node | subtree) · P(no ancestor
-    taken)).
+    ``wtp_of`` maps a :class:`Bundle` to the per-user WTP vector.  The
+    forest is compiled to a :class:`ForestPlan` and run on the stacked
+    vectors; a configuration keeps its plan
+    (:meth:`~repro.core.configuration.MixedConfiguration.plan`) and hands
+    it the item values instead.
     """
-    buyers: dict[Bundle, float] = {}
-    total_pay: np.ndarray | None = None
-
-    def bottom_up(node: OfferNode) -> tuple[SubtreeState, np.ndarray, list]:
-        utility = adoption.utility(wtp_of(node.bundle), node.offer.price)
-        if node.children:
-            child_results = [bottom_up(child) for child in node.children]
-            base = child_results[0][0]
-            for result in child_results[1:]:
-                base = base + result[0]
-        else:
-            child_results = []
-            zero = np.zeros_like(utility)
-            base = SubtreeState(zero, zero.copy())
-        take = upgrade_probability(utility, base.score, adoption)
-        if adoption.is_deterministic:
-            take = take * (utility >= -decision_tolerance(node.offer.price))
-        state = merged_state(base, utility, node.offer.price, adoption)
-        return state, take, child_results
-
-    def top_down(node_take, child_results, node: OfferNode, alive: np.ndarray) -> None:
-        taken = alive * node_take
-        buyers[node.bundle] = buyers.get(node.bundle, 0.0) + float(taken.sum())
-        remaining = alive * (1.0 - node_take)
-        for (s_, take_, kids_), child in zip(child_results, node.children):
-            top_down(take_, kids_, child, remaining)
-
-    for root in roots:
-        state, take, child_results = bottom_up(root)
-        total_pay = state.pay if total_pay is None else total_pay + state.pay
-        top_down(take, child_results, root, np.ones_like(take))
-    if total_pay is None:
-        total_pay = np.zeros(0)
-    return ChoiceOutcome(payments=total_pay, buyers_per_offer=buyers)
+    if not roots:
+        return ChoiceOutcome(payments=np.zeros(0), buyers_per_offer={})
+    plan = ForestPlan(roots)
+    wtp = np.stack([np.asarray(wtp_of(node.bundle), np.float64) for node in plan.nodes])
+    payments, buyers = plan._run(
+        wtp.shape[1],
+        lambda lo, hi: np.ascontiguousarray(wtp[:, lo:hi]),
+        adoption,
+        True,
+    )
+    return ChoiceOutcome(payments=payments, buyers_per_offer=buyers)
 
 
 def sample_forest(
@@ -309,7 +539,7 @@ def sample_forest(
             buyers[node.bundle] = buyers.get(node.bundle, 0.0) + count
         pay = np.where(take, node.offer.price, 0.0)
         remaining = alive & ~take
-        for (_state, child_prob, kids, child_node) in child_results:
+        for _state, child_prob, kids, child_node in child_results:
             pay = pay + sample(child_prob, kids, child_node, remaining)
         return pay
 
@@ -366,7 +596,10 @@ def choose_mnl_enumerated(
         node_list = root.descendants()
         node_index = {id(node): k for k, node in enumerate(node_list)}
         utilities = np.stack(
-            [adoption.utility(wtp_of(node.bundle), node.offer.price) for node in node_list]
+            [
+                adoption.utility(wtp_of(node.bundle), node.offer.price)
+                for node in node_list
+            ]
         )  # (K, M)
         membership = np.zeros((len(antichains), len(node_list)))
         option_price = np.zeros(len(antichains))
@@ -388,19 +621,3 @@ def choose_mnl_enumerated(
     if total_pay is None:
         total_pay = np.zeros(0)
     return ChoiceOutcome(payments=total_pay, buyers_per_offer=buyers)
-
-
-# Backwards-compatible aliases used across the package.
-def choose_deterministic(roots, wtp_of, adoption) -> ChoiceOutcome:
-    """Max-surplus choice (ties toward the bundle); exact DP evaluation."""
-    return evaluate_forest(roots, wtp_of, adoption)
-
-
-def choose_mnl(roots, wtp_of, adoption, antichain_limit: int = 4096) -> ChoiceOutcome:
-    """Exact expected MNL choice (closed-form recursion)."""
-    return evaluate_forest(roots, wtp_of, adoption)
-
-
-def sample_choice(roots, wtp_of, adoption, rng=None, antichain_limit: int = 4096) -> ChoiceOutcome:
-    """One realized choice per consumer (exact top-down MNL sampling)."""
-    return sample_forest(roots, wtp_of, adoption, rng)

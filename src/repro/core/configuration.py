@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from repro.core.bundle import Bundle, validate_laminar, validate_partition
-from repro.core.choice import OfferNode, build_forest
+from repro.core.choice import ForestPlan, OfferNode, build_forest
 from repro.core.pricing import PricedBundle
 from repro.errors import ConfigurationError
 
@@ -87,6 +87,7 @@ class MixedConfiguration:
         self.n_items = int(n_items)
         validate_laminar((offer.bundle for offer in self.offers), self.n_items)
         self._forest = build_forest(list(self.offers))
+        self._plan: ForestPlan | None = None
 
     @property
     def bundles(self) -> tuple[Bundle, ...]:
@@ -96,6 +97,13 @@ class MixedConfiguration:
         """The laminar family arranged as a forest of offers (built once,
         at construction; callers must not modify it)."""
         return self._forest
+
+    def plan(self) -> ForestPlan:
+        """The forest compiled for evaluation (built on first use, then
+        cached; every evaluation of this menu runs it)."""
+        if self._plan is None:
+            self._plan = ForestPlan(self._forest)
+        return self._plan
 
     @property
     def top_level_bundles(self) -> tuple[Bundle, ...]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.bundle import Bundle
-from repro.core.choice import evaluate_forest, sample_forest
+from repro.core.choice import sample_forest
 from repro.core.configuration import MixedConfiguration, PureConfiguration
 from repro.core.revenue import RevenueEngine
 from repro.errors import ValidationError
@@ -111,22 +111,19 @@ def sample_pure_revenue(config: PureConfiguration, engine: RevenueEngine, rng) -
 
 
 def expected_mixed_revenue(
-    config: MixedConfiguration, engine: RevenueEngine, antichain_limit: int = 4096
+    config: MixedConfiguration, engine: RevenueEngine
 ) -> tuple[float, dict[Bundle, float]]:
     """Expected revenue of a mixed configuration via the choice model.
 
     Exact for both deterministic (forest DP) and stochastic (closed-form
-    antichain MNL via the subtree-state recursion) adoption; see
-    :mod:`repro.core.choice`.  ``antichain_limit`` is retained for
-    signature compatibility and unused.
+    antichain MNL) adoption: the configuration's compiled
+    :class:`~repro.core.choice.ForestPlan` run on the engine's WTP.
     """
-    outcome = evaluate_forest(config.forest(), engine.bundle_wtp, engine.adoption)
+    outcome = config.plan().evaluate(engine.wtp, engine.theta, engine.adoption)
     return outcome.revenue, outcome.buyers_per_offer
 
 
-def sample_mixed_revenue(
-    config: MixedConfiguration, engine: RevenueEngine, rng, antichain_limit: int = 4096
-) -> float:
+def sample_mixed_revenue(config: MixedConfiguration, engine: RevenueEngine, rng) -> float:
     """One realized revenue draw (exact top-down multinomial-logit sampling)."""
     outcome = sample_forest(config.forest(), engine.bundle_wtp, engine.adoption, rng)
     return outcome.revenue
@@ -137,7 +134,6 @@ def evaluate(
     engine: RevenueEngine,
     n_runs: int | None = None,
     seed=None,
-    antichain_limit: int = 4096,
 ) -> EvaluationReport:
     """Full evaluation of a configuration.
 
@@ -149,8 +145,8 @@ def evaluate(
         expected, buyers = expected_pure_revenue(config, engine)
         sampler = lambda r: sample_pure_revenue(config, engine, r)  # noqa: E731
     elif isinstance(config, MixedConfiguration):
-        expected, buyers = expected_mixed_revenue(config, engine, antichain_limit)
-        sampler = lambda r: sample_mixed_revenue(config, engine, r, antichain_limit)  # noqa: E731
+        expected, buyers = expected_mixed_revenue(config, engine)
+        sampler = lambda r: sample_mixed_revenue(config, engine, r)  # noqa: E731
     else:
         raise ValidationError(f"cannot evaluate object of type {type(config).__name__}")
 

@@ -21,8 +21,10 @@ population.  SciPy sparse input is densified at construction by duck
 typing (anything with ``toarray``), so this module never imports SciPy.
 
 The kernel-facing contract is :meth:`WTPMatrix.raw_sum` (per-user sum over
-item columns, bit-identical to ``values[:, items].sum(axis=1)``) and
-:meth:`WTPMatrix.support_mask` (boolean "values any item positive" mask).
+item columns, bit-identical to ``values[:, items].sum(axis=1)``), its
+block form :meth:`WTPMatrix.raw_sums` (many equal-size bundles over a
+range of users) and :meth:`WTPMatrix.support_mask` (boolean "values any
+item positive" mask).
 """
 
 from __future__ import annotations
@@ -167,6 +169,18 @@ class WTPMatrix:
         ``values[:, list(items)].sum(axis=1)``.
         """
         return self._values[:, list(items)].sum(axis=1)
+
+    def raw_sums(self, items: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """Raw WTP of users ``start:stop`` for equal-size bundles at once.
+
+        *items* is an ``(n_bundles, size)`` item-index matrix; column ``k``
+        of the ``(stop - start, n_bundles)`` result sums row ``k``'s items
+        exactly as :meth:`raw_sum` sums them on a matrix of the same number
+        of users.  numpy lays a gather of two or more rows out user-major,
+        so each user's sum runs left to right in item order; a one-row
+        gather is item-contiguous and sums pairwise.
+        """
+        return self._values[start:stop, items].sum(axis=2)
 
     def support_mask(self, items: Sequence[int]) -> np.ndarray:
         """Boolean mask of users with positive WTP for *any* of *items*."""

@@ -8,23 +8,29 @@ requests.  :class:`ServingState` does that work exactly once:
 
 * the **offer supports** (per-offer item-index arrays) and Equation-1 scale
   factors;
-* the **per-offer price vector** and the price-grid levels of the fit;
-* the **offer forest** (mixed menus) and a single built adoption model;
+* the **per-offer price vector**;
+* the **compiled offer forest** (mixed menus) and a single built adoption
+  model;
 * the solution **fingerprint**, stamped on every response so clients can
   detect version skew across hot reloads.
 
 Bit-identity is the design constraint: a quote answered from warm state
 must equal ``solution.quote()`` to the last ulp.  The warm path therefore
-runs the *same* primitives as the cold one — :meth:`WTPMatrix.raw_sum` for
-bundle WTP, the adoption model's vectorized ``probability``, and
-:func:`repro.core.choice.evaluate_forest` for mixed menus — only the
-per-call rebuild work is skipped.  Because every per-user quantity in those
-primitives is computed elementwise (or reduced along each user's own row),
-stacking many requests' rows into one batch matrix and pricing them with
-one kernel call yields, for each request, exactly the payments, revenue,
-and coverage that quoting its rows alone would have produced.  That claim
-is pinned by ``tests/test_serving.py`` across batch sizes, adoption
-models, and engine configurations.
+runs the *same* code as the cold one: :meth:`WTPMatrix.raw_sum` and the
+adoption model's vectorized ``probability`` for pure menus, and the
+configuration's own compiled :class:`~repro.core.choice.ForestPlan` for
+mixed ones (asked for payments only) — only the per-call rebuild work is
+skipped.  Because every per-user quantity in those kernels is computed
+elementwise (or reduced along each user's own row), stacking many
+requests' rows into one batch matrix and pricing them with one kernel call
+yields, for each request, exactly the payments, revenue, and coverage that
+quoting its rows alone would have produced.  That claim is pinned by
+``tests/test_serving.py`` across batch sizes, adoption models, and engine
+configurations.  One exception: numpy sums a one-row bundle gather
+pairwise and a gather of more rows left to right, so where those sums
+round (bundles of 8+ items on WTP off the ratings grid) a one-row request
+priced inside a larger batch can differ in the last bit from the same row
+quoted alone (ROADMAP item 6).
 
 The ``quote_batch`` fault site lives here: when armed it raises
 :class:`~repro.errors.ServingError` before pricing, standing in for a
@@ -41,9 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import faults
-from repro.core.choice import OfferNode, evaluate_forest
+from repro.core.choice import ForestPlan
 from repro.core.configuration import MixedConfiguration
-from repro.core.pricing import PriceGrid
 from repro.core.wtp import WTPMatrix
 from repro.errors import ServingError, ValidationError
 
@@ -118,8 +123,7 @@ class ServingState:
         self.theta: float = config.theta
         self.adoption = config.adoption.build()
         # Menu-side precomputes: per-offer supports (item-index arrays),
-        # Equation-1 scale factors, and the price vector.  The level grid
-        # the fit priced on is rebuilt once for introspection/health.
+        # Equation-1 scale factors, and the price vector.
         offers = solution.configuration.offers
         self.offers = offers
         self.offer_supports: tuple[np.ndarray, ...] = tuple(
@@ -133,11 +137,10 @@ class ServingState:
             [offer.price for offer in offers], dtype=np.float64
         )
         self.price_vector.setflags(write=False)
-        self.grid = PriceGrid(n_levels=config.n_levels)
         if isinstance(solution.configuration, MixedConfiguration):
-            self.forest: list[OfferNode] | None = solution.configuration.forest()
+            self.plan: ForestPlan | None = solution.configuration.plan()
         else:
-            self.forest = None
+            self.plan = None
 
     # -------------------------------------------------------------- admission
     def prepare_rows(self, rows) -> PreparedRows:
@@ -199,11 +202,11 @@ class ServingState:
         else:
             matrix = WTPMatrix.stack([block.matrix for block in blocks])
         bounds = np.cumsum([0] + [block.n_users for block in blocks])
-        if self.forest is None:
+        if self.plan is None:
             payments, per_offer_probs = self._pure_pass(matrix)
         else:
-            outcome = evaluate_forest(self.forest, self._wtp_of(matrix), self.adoption)
-            payments, per_offer_probs = outcome.payments, None
+            payments = self.plan.payments(matrix, self.theta, self.adoption)
+            per_offer_probs = None
         quotes = []
         for block, lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
             lo, hi = int(lo), int(hi)
@@ -231,16 +234,6 @@ class ServingState:
         return quotes
 
     # ------------------------------------------------------------- internals
-    def _wtp_of(self, matrix: WTPMatrix):
-        """Equation-1 bundle WTP against *matrix* (the engine's arithmetic)."""
-        theta = self.theta
-
-        def bundle_wtp(bundle):
-            scale = 1.0 + theta if bundle.size >= 2 else 1.0
-            return matrix.raw_sum(bundle.items) * scale
-
-        return bundle_wtp
-
     def _pure_pass(self, matrix: WTPMatrix) -> tuple[np.ndarray, list]:
         """Per-user payments + per-offer adoption over the whole batch.
 
