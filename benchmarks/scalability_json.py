@@ -18,19 +18,22 @@ Backends
     The streaming engine with ``n_workers=4``: chunks fan out over a
     thread pool (bit-identical to serial; wall-clock scales with *cores* —
     check ``platform.cpu_count`` in the report before reading the ratio).
-``streaming-lean-mixed`` / ``streaming-lean-mixed-w4``
-    ``state_dtype=float32`` with the **band** mixed kernel (pinned — these
-    columns predate kernel selection and stay comparable to the committed
-    history): mixed-strategy subtree states at half memory, serial and
-    4-worker — the backends that first carried mixed matching to 1M users.
 ``streaming-lean-mixed-sorted`` / ``streaming-lean-mixed-sorted-w4``
-    Same, with ``mixed_kernel="sorted"`` — the O(M + T)-per-pair
-    step-histogram kernel that replaces the band kernel's O(T'·M) per-pair
-    level scan.
+    ``state_dtype=float32``: mixed-strategy subtree states at half memory,
+    serial and 4-worker.  The workload uses step adoption, so the mixed
+    scan runs the O(M + T)-per-pair step-histogram ("sorted") kernel.
 ``streaming-mixed-sorted``
-    The sorted kernel with float64 subtree states: the twin of
+    The same kernel with float64 subtree states: the twin of
     ``streaming-lean-mixed-sorted`` that measures what ``state_dtype=
     "float32"`` saves (``summary.lean_vs_float64_states``).
+
+Every cell records ``mixed_kernel``, the kernel its adoption model picks
+(``None`` for pure cells).  The committed ledger also keeps
+``streaming-lean-mixed`` / ``streaming-lean-mixed-w4`` cells, recorded
+when the O(T'·M)-per-pair band scan could still run under step adoption;
+``summary.mixed_sorted_vs_band`` compares them with their ``-sorted``
+twins.  Those backends can no longer be measured, but a merge keeps their
+cells.
 
 Every cell records ``cpu_count``; the CI ``perf-smoke`` job gates the
 threaded-vs-serial speedup on a real 2+-core runner.
@@ -40,15 +43,14 @@ Run from the repo root::
     PYTHONPATH=src python benchmarks/scalability_json.py
     PYTHONPATH=src python benchmarks/scalability_json.py --factors 50 125 250
 
-The committed artifact layers new cells over the retained PR 2 matrix
-(pure cells and the 1M-user ``streaming-lean-mixed-w4`` band cell) with
-``--merge-existing``, which keeps previously recorded cells without
-re-measuring them.  A bare ``--factors`` runs no pure cells::
+The committed artifact layers new cells over the retained earlier matrix
+(pure cells and the band cells) with ``--merge-existing``, which keeps
+previously recorded cells without re-measuring them.  A bare
+``--factors`` runs no pure cells::
 
     PYTHONPATH=src python benchmarks/scalability_json.py \
         --factors --mixed-factors 250 \
-        --mixed-backends streaming-lean-mixed streaming-lean-mixed-sorted \
-        streaming-mixed-sorted \
+        --mixed-backends streaming-lean-mixed-sorted streaming-mixed-sorted \
         --merge-existing
     PYTHONPATH=src python benchmarks/scalability_json.py \
         --factors --mixed-factors 2500 \
@@ -84,7 +86,6 @@ from pathlib import Path
 
 from repro.api import AlgorithmSpec, EngineConfig
 from repro.core.kernels import DEFAULT_CHUNK_ELEMENTS, available_cpus
-from repro.core.pricing import resolve_mixed_kernel
 from repro.data.synthetic import amazon_books_like
 from repro.data.wtp_mapping import wtp_from_ratings
 
@@ -92,24 +93,13 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_scalability.json"
 
 #: Typed engine config per backend column (the former loose-kwargs dicts).
-#: The lean-mixed columns pin ``mixed_kernel`` explicitly (the engine
-#: default is ``"auto"``) so a column always measures the same kernel the
-#: committed history recorded.
 BACKENDS = {
     "unchunked-float64": EngineConfig(chunk_elements=None),
     "streaming-float64": EngineConfig(),
     "streaming-float64-w4": EngineConfig(n_workers=4),
-    "streaming-lean-mixed": EngineConfig(state_dtype="float32", mixed_kernel="band"),
-    "streaming-lean-mixed-w4": EngineConfig(
-        state_dtype="float32", n_workers=4, mixed_kernel="band"
-    ),
-    "streaming-lean-mixed-sorted": EngineConfig(
-        state_dtype="float32", mixed_kernel="sorted"
-    ),
-    "streaming-lean-mixed-sorted-w4": EngineConfig(
-        state_dtype="float32", n_workers=4, mixed_kernel="sorted"
-    ),
-    "streaming-mixed-sorted": EngineConfig(mixed_kernel="sorted"),
+    "streaming-lean-mixed-sorted": EngineConfig(state_dtype="float32"),
+    "streaming-lean-mixed-sorted-w4": EngineConfig(state_dtype="float32", n_workers=4),
+    "streaming-mixed-sorted": EngineConfig(),
 }
 
 
@@ -155,9 +145,10 @@ def measure_cell(
         "expected_revenue": result.expected_revenue,
         "iterations": result.n_iterations,
         "max_iterations": max_iterations,
-        # Resolved mixed kernel (pure cells never touch it).
+        # The mixed kernel the adoption model picks (pure cells never
+        # touch it).
         "mixed_kernel": (
-            resolve_mixed_kernel(engine.mixed_kernel, engine.adoption)
+            ("sorted" if engine.adoption.is_deterministic else "band")
             if strategy == "mixed"
             else None
         ),
@@ -220,7 +211,7 @@ def summarize(runs: list[dict]) -> dict:
             }
             break
     # Sorted-vs-band mixed kernel, one entry per factor where both kernels
-    # have a cell (largest factor first).  Cells are paired only when their
+    # have a cell (largest factor first; band cells are retained history).  Cells are paired only when their
     # backends differ solely by the "-sorted" token (same worker count and
     # state dtype), so the ratio measures the kernel and nothing else.
     kernel_entries = []
@@ -432,7 +423,7 @@ def main() -> None:
         "--mixed-backends",
         nargs="+",
         choices=sorted(BACKENDS),
-        default=["streaming-lean-mixed-w4"],
+        default=["streaming-lean-mixed-sorted-w4"],
         help="backends for the mixed matching cells",
     )
     parser.add_argument(

@@ -191,12 +191,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="mixed-strategy subtree-state dtype (float32 halves O(N*M) state)",
     )
     backend.add_argument(
-        "--mixed-kernel", choices=("auto", "band", "sorted"), default=None,
-        help="mixed-merge pricing kernel: sorted = O(M + T) step histogram "
-             "per pair (deterministic adoption), band = O(T'*M) reference; "
-             "default: the engine's auto resolution",
-    )
-    backend.add_argument(
         "--drift-threshold", type=float, default=None, metavar="X",
         help="revenue-drift ceiling for warm `repro refit` on this "
              "solution: past it the refit falls back to a full cold fit "
@@ -351,8 +345,6 @@ def _engine_config(args) -> EngineConfig:
         config_kwargs["chunk_elements"] = args.chunk_elements or None
     if args.state_dtype is not None:
         config_kwargs["state_dtype"] = args.state_dtype
-    if args.mixed_kernel is not None:
-        config_kwargs["mixed_kernel"] = args.mixed_kernel
     if getattr(args, "drift_threshold", None) is not None:
         config_kwargs["drift_threshold"] = args.drift_threshold
     return EngineConfig(**config_kwargs)

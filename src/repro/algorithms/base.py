@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from repro.core.configuration import MixedConfiguration, PureConfiguration
 from repro.core.evaluation import evaluate, revenue_gain
 from repro.core.kernels import check_n_workers
-from repro.core.pricing import check_mixed_kernel, resolve_mixed_kernel
 from repro.core.revenue import RevenueEngine
-from repro.errors import PricingError, ValidationError
+from repro.errors import ValidationError
 from repro.utils.timer import Timer
 
 PURE = "pure"
@@ -45,13 +44,6 @@ def check_workers_option(n_workers: int | None) -> int | None:
     if n_workers is None:
         return None
     return check_n_workers(n_workers)
-
-
-def check_mixed_kernel_option(mixed_kernel: str | None) -> str | None:
-    """Validate an algorithm-level kernel override; ``None`` defers to the engine."""
-    if mixed_kernel is None:
-        return None
-    return check_mixed_kernel(mixed_kernel)
 
 
 @dataclass(frozen=True)
@@ -101,8 +93,6 @@ class BundlingAlgorithm(ABC):
     strategy: str = PURE
     #: Optional per-run worker override (``None`` = use the engine's setting).
     n_workers: int | None = None
-    #: Optional per-run mixed-kernel override (``None`` = engine's setting).
-    mixed_kernel: str | None = None
     #: Checkpointing knobs, armed by :meth:`repro.api.BundlingSolver.fit`
     #: (class-level so registry-validated constructor signatures stay
     #: untouched).  ``checkpoint_path=None`` disables checkpointing.
@@ -153,28 +143,14 @@ class BundlingAlgorithm(ABC):
 
     @contextmanager
     def _engine_overrides(self, engine: RevenueEngine):
-        """Apply per-run engine overrides (workers, kernel) for one fit."""
+        """Apply the per-run worker override for one fit."""
         previous_workers = engine.n_workers
-        previous_kernel = engine.mixed_kernel
         if self.n_workers is not None:
             engine.n_workers = self.n_workers
-        if self.mixed_kernel is not None:
-            # Fail before any pricing work, mirroring the engine's own
-            # construction-time checks (an unusable override would otherwise
-            # only surface deep inside the first mixed scan, or be silently
-            # ignored by the non-linspace scalar path).
-            resolve_mixed_kernel(self.mixed_kernel, engine.adoption)
-            if self.mixed_kernel == "sorted" and engine.grid.mode != "linspace":
-                raise PricingError(
-                    "the sorted mixed kernel requires a linspace grid; "
-                    f"this engine's grid mode is {engine.grid.mode!r}"
-                )
-            engine.mixed_kernel = self.mixed_kernel
         try:
             yield
         finally:
             engine.n_workers = previous_workers
-            engine.mixed_kernel = previous_kernel
 
     def _finalize(
         self,

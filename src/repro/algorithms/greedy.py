@@ -36,7 +36,6 @@ from repro.algorithms.base import (
     BundlingResult,
     IterationRecord,
     check_max_size,
-    check_mixed_kernel_option,
     check_strategy,
     check_workers_option,
 )
@@ -56,13 +55,11 @@ class GreedyMerge(BundlingAlgorithm):
         k: int | None = None,
         co_support_pruning: bool = True,
         n_workers: int | None = None,
-        mixed_kernel: str | None = None,
     ) -> None:
         self.strategy = check_strategy(strategy)
         self.k = check_max_size(k)
         self.co_support_pruning = co_support_pruning
         self.n_workers = check_workers_option(n_workers)
-        self.mixed_kernel = check_mixed_kernel_option(mixed_kernel)
         self.name = f"{self.strategy}_greedy"
 
     def fit(self, engine: RevenueEngine) -> BundlingResult:

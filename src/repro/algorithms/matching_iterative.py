@@ -27,7 +27,6 @@ from repro.algorithms.base import (
     BundlingResult,
     IterationRecord,
     check_max_size,
-    check_mixed_kernel_option,
     check_strategy,
     check_workers_option,
 )
@@ -55,9 +54,6 @@ class IterativeMatching(BundlingAlgorithm):
     n_workers:
         Worker threads for the streaming pair scans (overrides the
         engine's setting for this run; ``None`` defers to the engine).
-    mixed_kernel:
-        Mixed-merge kernel backend (``"band"``, ``"sorted"``, or
-        ``"auto"``) for this run; ``None`` defers to the engine.
     """
 
     def __init__(
@@ -68,7 +64,6 @@ class IterativeMatching(BundlingAlgorithm):
         new_vertex_pruning: bool = True,
         max_iterations: int | None = None,
         n_workers: int | None = None,
-        mixed_kernel: str | None = None,
     ) -> None:
         self.strategy = check_strategy(strategy)
         self.k = check_max_size(k)
@@ -76,7 +71,6 @@ class IterativeMatching(BundlingAlgorithm):
         self.new_vertex_pruning = new_vertex_pruning
         self.max_iterations = max_iterations
         self.n_workers = check_workers_option(n_workers)
-        self.mixed_kernel = check_mixed_kernel_option(mixed_kernel)
         self.name = f"{self.strategy}_matching"
 
     def fit(self, engine: RevenueEngine) -> BundlingResult:

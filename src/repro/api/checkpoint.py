@@ -54,7 +54,7 @@ from repro.core.pricing import PricedBundle
 from repro.errors import CheckpointError, ReproError
 
 #: Version tag of the checkpoint layout; bump on incompatible changes.
-CHECKPOINT_FORMAT_VERSION = 4
+CHECKPOINT_FORMAT_VERSION = 5
 
 #: Name suffix of the array sidecar next to the checkpoint JSON.
 ARRAYS_SUFFIX = ".arrays.npz"

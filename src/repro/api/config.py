@@ -13,9 +13,8 @@ values:
     Everything needed to (re)build a :class:`RevenueEngine` around a WTP
     matrix: the model parameters the paper sweeps (θ, the adoption model,
     the number of price levels) and the performance backends the streaming
-    kernels grew (chunk budget, workers, state dtype, mixed kernel,
-    raw-cache capacity).  Invalid combinations — e.g. the sorted mixed
-    kernel under sigmoid adoption — fail at construction, not mid-scan.
+    kernels grew (chunk budget, workers, state dtype).  Invalid values
+    fail at construction, not mid-scan.
 
 :class:`AlgorithmSpec`
     A registry algorithm name plus its constructor kwargs, validated
@@ -41,12 +40,7 @@ from repro.core.kernels import (
     check_chunk_elements,
     check_n_workers,
 )
-from repro.core.pricing import (
-    DEFAULT_PRICE_LEVELS,
-    PriceGrid,
-    check_mixed_kernel,
-    resolve_mixed_kernel,
-)
+from repro.core.pricing import DEFAULT_PRICE_LEVELS, PriceGrid
 from repro.core.revenue import (
     DEFAULT_DRIFT_THRESHOLD,
     RevenueEngine,
@@ -179,7 +173,6 @@ class EngineConfig:
     chunking); ``n_workers`` fans chunk scans out over
     that many threads (1, the default, runs them in order);
     ``state_dtype`` stores mixed-strategy subtree states in float32;
-    ``mixed_kernel`` selects the mixed-merge pricing kernel;
     ``drift_threshold`` is the relative revenue drift beyond which a warm ``refit`` falls back to a cold ``fit``
     (see :meth:`~repro.api.solver.BundlingSolver.refit`).
     """
@@ -190,7 +183,6 @@ class EngineConfig:
     chunk_elements: int | None = DEFAULT_CHUNK_ELEMENTS
     n_workers: int = 1
     state_dtype: str | None = None
-    mixed_kernel: str = "auto"
     drift_threshold: float = DEFAULT_DRIFT_THRESHOLD
 
     def __post_init__(self) -> None:
@@ -215,15 +207,8 @@ class EngineConfig:
         )
         object.__setattr__(self, "n_workers", check_n_workers(self.n_workers))
         object.__setattr__(
-            self, "mixed_kernel", check_mixed_kernel(self.mixed_kernel)
-        )
-        object.__setattr__(
             self, "drift_threshold", check_drift_threshold(self.drift_threshold)
         )
-        # Fail unusable combinations at construction, mirroring the engine's
-        # own eager checks: an explicit sorted kernel cannot serve a
-        # stochastic adoption model.
-        resolve_mixed_kernel(self.mixed_kernel, adoption.build())
 
     # ------------------------------------------------------------- building
     def build(self, wtp) -> RevenueEngine:
@@ -241,7 +226,6 @@ class EngineConfig:
             chunk_elements=self.chunk_elements,
             n_workers=self.n_workers,
             state_dtype=self.state_dtype,
-            mixed_kernel=self.mixed_kernel,
             drift_threshold=self.drift_threshold,
         )
 
@@ -270,7 +254,6 @@ class EngineConfig:
             chunk_elements=engine.chunk_elements,
             n_workers=engine.n_workers,
             state_dtype=engine.state_dtype.name,
-            mixed_kernel=engine.mixed_kernel,
             drift_threshold=engine.drift_threshold,
         )
 
@@ -283,7 +266,6 @@ class EngineConfig:
             "chunk_elements": self.chunk_elements,
             "n_workers": self.n_workers,
             "state_dtype": self.state_dtype,
-            "mixed_kernel": self.mixed_kernel,
             "drift_threshold": self.drift_threshold,
         }
 

@@ -43,7 +43,7 @@ from repro.core.wtp import WTPMatrix
 from repro.errors import ReproError, ValidationError
 
 #: Version tag of the JSON layout; bump on incompatible changes.
-SOLUTION_FORMAT_VERSION = 4
+SOLUTION_FORMAT_VERSION = 5
 
 #: Strategy tags (mirrors :data:`repro.algorithms.base.STRATEGIES`).
 _PURE = "pure"

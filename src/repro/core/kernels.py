@@ -71,9 +71,7 @@ from repro.core.pricing import (
     DEFAULT_CHUNK_ELEMENTS,
     PriceGrid,
     price_mixed_bundle_batch,
-    price_mixed_bundle_batch_sorted,
     price_pure_batch,
-    resolve_mixed_kernel,
 )
 from repro.core.retry import DegradedExecutionWarning, record_degradation
 from repro.errors import ExecutorError, ValidationError
@@ -359,7 +357,6 @@ def stream_mixed_merges(
     grid: PriceGrid,
     chunk_elements: int | None = DEFAULT_CHUNK_ELEMENTS,
     n_workers: int = 1,
-    mixed_kernel: str = "band",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Streamed mixed-merge pricing over *n_pairs* candidates.
 
@@ -381,26 +378,18 @@ def stream_mixed_merges(
     ``chunk_elements=None`` prices every pair in one chunk.  The
     ``scan.mixed_merges`` span records the width used.
 
-    ``mixed_kernel`` selects the per-chunk pricing kernel (see
-    :data:`~repro.core.pricing.MIXED_KERNELS`): ``"band"`` runs
-    :func:`~repro.core.pricing.price_mixed_bundle_batch` (whose
-    (levels × users × pairs) temporaries ``chunk_elements`` bounds),
-    ``"sorted"`` the step-histogram
-    :func:`~repro.core.pricing.price_mixed_bundle_batch_sorted`
-    (deterministic adoption only), and ``"auto"`` resolves by adoption
-    model.  The chunk schedule never depends on the worker count, and the
-    sorted kernel is column-independent, so its results are bit-identical
-    for any chunk budget and worker count.
+    Each chunk runs :func:`~repro.core.pricing.price_mixed_bundle_batch`,
+    whose body the adoption model picks (the step-histogram scan under
+    deterministic adoption, the band scan, whose (levels × users × pairs)
+    temporaries ``chunk_elements`` bounds, under sigmoid adoption).  The
+    chunk schedule never depends on the worker count, and both bodies are
+    column-independent, so results are bit-identical for any chunk budget
+    and worker count.
 
     Returns ``(prices, gains, upgraded, feasible)`` of length ``n_pairs``.
     A thread pool that cannot start degrades the scan to the in-order
     loop, exactly as in :func:`stream_pure_prices`.
     """
-    kernel = (
-        price_mixed_bundle_batch_sorted
-        if resolve_mixed_kernel(mixed_kernel, adoption) == "sorted"
-        else price_mixed_bundle_batch
-    )
     prices = np.zeros(n_pairs)
     gains = np.full(n_pairs, -np.inf)
     upgraded = np.zeros(n_pairs)
@@ -420,7 +409,7 @@ def stream_mixed_merges(
     def process(buffers: tuple, start: int, stop: int) -> None:
         blocks = [buffer[:, : stop - start] for buffer in buffers]
         floors, ceilings = fill(*blocks, start, stop)
-        p, g, u, f = kernel(
+        p, g, u, f = price_mixed_bundle_batch(
             *blocks,
             floors,
             ceilings,

@@ -453,44 +453,6 @@ def _price_exact_batch(
 
 
 # -------------------------------------------------------------------- mixed
-#: Selectable kernels for the streamed mixed-merge scans.  ``"band"`` is the
-#: original O(T'·M)-per-pair level scan (the bit-reference the equivalence
-#: tests pin against); ``"sorted"`` is the O(M + T)-per-pair step-histogram
-#: kernel (deterministic adoption only); ``"auto"`` resolves to
-#: ``"sorted"`` when the adoption model is deterministic and to ``"band"``
-#: otherwise.
-MIXED_KERNELS = ("auto", "band", "sorted")
-
-
-def check_mixed_kernel(mixed_kernel: str) -> str:
-    """Validate a mixed-kernel selector (one of :data:`MIXED_KERNELS`)."""
-    if mixed_kernel not in MIXED_KERNELS:
-        raise ValidationError(
-            f"mixed_kernel must be one of {MIXED_KERNELS}, got {mixed_kernel!r}"
-        )
-    return mixed_kernel
-
-
-def resolve_mixed_kernel(mixed_kernel: str, adoption: AdoptionModel) -> str:
-    """Resolve ``"auto"`` to a concrete kernel for *adoption*.
-
-    The sorted kernel exploits that a deterministic upgrade decision is a
-    single threshold on the per-user margin; sigmoid adoption weights every
-    user at every level, so ``"auto"`` keeps the band kernel there.
-    Explicitly requesting ``"sorted"`` under stochastic adoption is an
-    error rather than a silent fallback.
-    """
-    check_mixed_kernel(mixed_kernel)
-    if mixed_kernel == "auto":
-        return "sorted" if adoption.is_deterministic else "band"
-    if mixed_kernel == "sorted" and not adoption.is_deterministic:
-        raise PricingError(
-            "the sorted mixed kernel requires a deterministic adoption model; "
-            "use mixed_kernel='band' or 'auto' for stochastic adoption"
-        )
-    return mixed_kernel
-
-
 def feasible_levels(
     grid: PriceGrid, effective: np.ndarray, floor: float, ceiling: float
 ) -> np.ndarray:
@@ -572,10 +534,13 @@ def price_mixed_bundle_batch(
     All per-consumer inputs are column-stacked ``(M, P)`` arrays; ``floors``
     and ``ceilings`` are ``(P,)``.  Returns ``(prices, gains, upgraded,
     feasible)``.  Requires a linspace grid (the algorithms' hot path); grid
-    levels outside a pair's Guiltinan interval are masked out.
-    ``chunk_elements`` bounds the (levels × users × pairs) temporaries;
-    ``None`` disables chunking — the same convention as
-    :func:`price_pure_batch`.
+    levels outside a pair's Guiltinan interval are never selected.  This is
+    the one batch mixed pricer, and the adoption model alone picks its
+    body: the step-histogram scan (:func:`_price_mixed_step`, O(M + T) per
+    pair) under deterministic adoption, the Guiltinan-band level scan
+    (:func:`_price_mixed_sigmoid`, O(T'·M) per pair) under sigmoid
+    adoption.  Both are column-independent and bit-identical for any
+    column batching, chunk budget and worker count.
     """
     adoption = adoption or StepAdoption()
     grid = grid or PriceGrid()
@@ -584,9 +549,37 @@ def price_mixed_bundle_batch(
     w_b = np.asarray(bundle_wtps, dtype=np.float64)
     if w_b.ndim != 2:
         raise ValidationError(f"bundle_wtps must be 2-D, got shape {w_b.shape}")
-    n_users, n_pairs = w_b.shape
     floors = np.asarray(floors, dtype=np.float64)
     ceilings = np.asarray(ceilings, dtype=np.float64)
+    if adoption.is_deterministic:
+        return _price_mixed_step(
+            w_b, base_scores, base_pays, floors, ceilings, adoption, grid.n_levels
+        )
+    return _price_mixed_sigmoid(
+        w_b, base_scores, base_pays, floors, ceilings, adoption, grid.n_levels,
+        chunk_elements,
+    )
+
+
+def _price_mixed_sigmoid(
+    w_b: np.ndarray,
+    base_scores: np.ndarray,
+    base_pays: np.ndarray,
+    floors: np.ndarray,
+    ceilings: np.ndarray,
+    adoption: AdoptionModel,
+    n_levels: int,
+    chunk_elements: int | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Band-scan body of :func:`price_mixed_bundle_batch` (sigmoid adoption).
+
+    Every user upgrades at every level with probability ``σ(γ(u_b − p) −
+    base_score)``, so each level of the Guiltinan band is evaluated over
+    every user: O(T'·M) per pair.  ``chunk_elements`` bounds the
+    (levels × users × pairs) temporaries; ``None`` disables chunking — the
+    same convention as :func:`price_pure_batch`.
+    """
+    n_users, n_pairs = w_b.shape
     effective = adoption.alpha * w_b + adoption.epsilon
 
     prices = np.zeros(n_pairs)
@@ -594,10 +587,8 @@ def price_mixed_bundle_batch(
     upgraded = np.zeros(n_pairs)
     feasible = np.zeros(n_pairs, dtype=bool)
 
-    n_levels = grid.n_levels
     tops = effective.max(axis=0)
-    gamma = 1.0 if adoption.is_deterministic else getattr(adoption, "gamma", 1.0)
-    deterministic = adoption.is_deterministic
+    gamma = getattr(adoption, "gamma", 1.0)
 
     budget = chunk_elements if chunk_elements is not None else n_users * n_levels * n_pairs
     chunk = max(1, budget // max(1, n_users * n_levels))
@@ -629,33 +620,16 @@ def price_mixed_bundle_batch(
             utility *= gamma
         in_market = (w_b[:, start:stop] > 0)[None, :, :]
         delta = levels[:, None, :] - base_pays[None, :, start:stop]
-        if deterministic:
-            tol = decision_tolerance(levels)[:, None, :]
-            take = (utility >= base_scores[None, :, start:stop] - tol) & in_market
-            # Gains accumulate per-user payments sequentially (the non-inner
-            # reduction axis), so this path is chunk-invariant for widths
-            # ≥ 2; upgraded counts are integer-exact.  Kept on the plain sum
-            # to preserve bit-identity with the seed snapshot.
-            np.multiply(take, delta, out=delta)
-            gain_band = delta.sum(axis=1)
-            upg_band = take.sum(axis=1).astype(np.float64)
-        else:
-            take = 1.0 / (
-                1.0
-                + np.exp(
-                    -np.clip(utility - base_scores[None, :, start:stop], -500.0, 500.0)
-                )
-            )
-            take = take * in_market
-            # Probability sums are float accumulations: fixed-tree reduction
-            # keeps the sigmoid path bit-stable under any chunk width.
-            np.multiply(take, delta, out=delta)
-            gain_band = tree_sum(delta, axis=1)
-            upg_band = tree_sum(take, axis=1)
+        logit = np.clip(utility - base_scores[None, :, start:stop], -500.0, 500.0)
+        take = 1.0 / (1.0 + np.exp(-logit))
+        take = take * in_market
+        # Probability sums are float accumulations: fixed-tree reduction
+        # keeps the path bit-stable under any chunk width.
+        np.multiply(take, delta, out=delta)
         gain_levels = np.full((n_levels, width), -np.inf)
-        gain_levels[lo:hi] = gain_band
+        gain_levels[lo:hi] = tree_sum(delta, axis=1)
         upg_levels = np.zeros((n_levels, width))
-        upg_levels[lo:hi] = upg_band
+        upg_levels[lo:hi] = tree_sum(take, axis=1)
         gain_levels = np.where(valid, gain_levels, -np.inf)
         best = np.argmax(gain_levels, axis=0)
         span = np.arange(width)
@@ -665,17 +639,16 @@ def price_mixed_bundle_batch(
     return prices, gains, upgraded, feasible
 
 
-def price_mixed_bundle_batch_sorted(
-    bundle_wtps: np.ndarray,
+def _price_mixed_step(
+    w_b: np.ndarray,
     base_scores: np.ndarray,
     base_pays: np.ndarray,
     floors: np.ndarray,
     ceilings: np.ndarray,
-    adoption: AdoptionModel | None = None,
-    grid: PriceGrid | None = None,
-    chunk_elements: int | None = DEFAULT_CHUNK_ELEMENTS,
+    adoption: AdoptionModel,
+    n_levels: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Step-histogram :func:`price_mixed_bundle_batch` for deterministic adoption.
+    """Step-histogram body of :func:`price_mixed_bundle_batch` (step adoption).
 
     Under the step model, user ``u`` upgrades to the merged bundle at level
     ``t`` iff ``compare_t ≤ margin_u``, where ``compare_t = level_t −
@@ -697,37 +670,23 @@ def price_mixed_bundle_batch_sorted(
     suffix sums over levels; ``gain`` inside the Guiltinan band; the first
     (lowest) argmax.  Only pairs with a feasible level are priced.
 
-    The level grid, the slack and the tie-break use the band kernel's
-    arithmetic, and the threshold test is its comparison rearranged, so
-    ``prices``, ``upgraded`` and ``feasible`` depend only on the integer
-    upgrade sets.  ``gains`` differ from the band kernel's by payment
-    summation order (ulps of the payment sums): a merge whose exact gain
-    is zero comes out as about ±1e-13, and that sign, or the winning level
-    of an exact tie, can differ between the kernels.
+    The level grid, the slack and the tie-break are those of the
+    level-by-user scan of :func:`price_mixed_bundle`, and the threshold
+    test is its comparison rearranged, so ``prices``, ``upgraded`` and
+    ``feasible`` depend only on the integer upgrade sets.  ``gains`` differ
+    from a level-by-user scan's by payment summation order (ulps of the
+    payment sums): a merge whose exact gain is zero comes out as about
+    ±1e-13, and that sign, or the winning level of an exact tie, can
+    differ between the two.
 
-    The kernel's working memory is a few ``M × P`` buffers whatever
-    ``chunk_elements`` says (it is accepted for interface symmetry), so
-    callers bound ``P``: the streamed scan of :mod:`repro.core.kernels`
-    passes cache-sized blocks.  Column-major (Fortran-order) input keeps
-    every pass contiguous; any layout gives the same bits, and each bin
-    sums its users in user order, so results are bit-identical for any
-    column batching, chunk budget and worker count.
+    The body's working memory is a few ``M × P`` buffers, so callers bound
+    ``P``: the streamed scan of :mod:`repro.core.kernels` passes
+    cache-sized blocks.  Column-major (Fortran-order) input keeps every
+    pass contiguous; any layout gives the same bits, and each bin sums its
+    users in user order, so results are bit-identical for any column
+    batching, chunk budget and worker count.
     """
-    adoption = adoption or StepAdoption()
-    grid = grid or PriceGrid()
-    if grid.mode != "linspace":
-        raise PricingError("batch mixed pricing requires a linspace grid")
-    if not adoption.is_deterministic:
-        raise PricingError(
-            "the sorted mixed kernel requires a deterministic adoption model"
-        )
-    w_b = np.asarray(bundle_wtps, dtype=np.float64)
-    if w_b.ndim != 2:
-        raise ValidationError(f"bundle_wtps must be 2-D, got shape {w_b.shape}")
     n_users, n_pairs = w_b.shape
-    floors = np.asarray(floors, dtype=np.float64)
-    ceilings = np.asarray(ceilings, dtype=np.float64)
-
     prices = np.zeros(n_pairs)
     gains = np.full(n_pairs, -np.inf)
     upgraded = np.zeros(n_pairs)
@@ -740,9 +699,8 @@ def price_mixed_bundle_batch_sorted(
     else:
         effective = adoption.alpha * w_b + adoption.epsilon
     tops = effective.max(axis=0)
-    n_levels = grid.n_levels
     step = tops / n_levels
-    # Identical level arithmetic to the band kernel: rank · (top / T).
+    # The level arithmetic of PriceGrid.candidates: rank · (top / T).
     levels = step[:, None] * np.arange(1, n_levels + 1, dtype=np.float64)
     valid = (levels > floors[:, None]) & (levels < ceilings[:, None])
     valid &= (tops > 0)[:, None]

@@ -54,8 +54,6 @@ from repro.core.pricing import (
     MixedMerge,
     PriceGrid,
     PricedBundle,
-    check_mixed_kernel,
-    resolve_mixed_kernel,
 )
 from repro.core.support import (
     bundle_support_bits,
@@ -64,7 +62,7 @@ from repro.core.support import (
 )
 from repro.core.bundle import Bundle
 from repro.core.wtp import WTPMatrix
-from repro.errors import PricingError, ValidationError
+from repro.errors import ValidationError
 from repro.utils.validation import check_fraction
 
 
@@ -216,9 +214,9 @@ class RevenueEngine:
         Element ceiling for the streaming pair-scan buffers, whatever the
         number of candidates scanned.  Both scans run in cache-sized blocks
         of at most :data:`~repro.core.kernels.SCAN_BLOCK_ELEMENTS` and
-        narrower ones only when this budget is smaller; the band mixed
-        kernel's per-chunk temporaries stay bounded by the budget itself.  It is part of the fingerprinted
-        provenance, though no value changes a bit of the prices.  ``None``
+        narrower ones only when this budget is smaller; the sigmoid mixed
+        scan's per-chunk temporaries stay bounded by the budget itself.  It
+        is part of the fingerprinted provenance, though no value changes a bit of the prices.  ``None``
         disables chunking (the original unbounded behaviour — O(M·N²) at
         scale).
     n_workers:
@@ -234,14 +232,6 @@ class RevenueEngine:
         default, or ``"float32"`` to halve the O(N·M) resident state so
         mixed runs fit at 1M+ users; kernels widen on the fly, so pricing
         differs only by float32 rounding of the base choice state).
-    mixed_kernel:
-        Kernel for the streamed mixed-merge scans: ``"band"`` (the O(T'·M)
-        Guiltinan-band level scan), ``"sorted"`` (the O(M + T)-per-pair
-        step-histogram kernel; deterministic adoption only), or
-        ``"auto"`` (default — sorted when the adoption model is
-        deterministic, band otherwise).  The two kernels agree to float
-        accumulation order (~1e-9 relative on gains; identical prices and
-        upgrade counts).
     drift_threshold:
         Relative revenue drift at which a warm ``refit`` falls back to a
         cold fit (see :meth:`repro.api.BundlingSolver.refit`).  Carried on
@@ -260,7 +250,6 @@ class RevenueEngine:
         chunk_elements: int | None = DEFAULT_CHUNK_ELEMENTS,
         n_workers: int = 1,
         state_dtype: str | None = None,
-        mixed_kernel: str = "auto",
         drift_threshold: float = DEFAULT_DRIFT_THRESHOLD,
     ) -> None:
         if not isinstance(wtp, WTPMatrix):
@@ -275,18 +264,7 @@ class RevenueEngine:
         self.chunk_elements = check_chunk_elements(chunk_elements)
         self.n_workers = check_n_workers(n_workers)
         self.state_dtype = check_state_dtype(state_dtype)
-        self.mixed_kernel = check_mixed_kernel(mixed_kernel)
         self.drift_threshold = check_drift_threshold(drift_threshold)
-        # Resolve "auto" eagerly: an explicit "sorted" request the engine
-        # can never honour — stochastic adoption, or a non-linspace grid
-        # (whose mixed path runs the scalar reference loop) — should fail
-        # at construction, not mid-scan or silently.
-        resolve_mixed_kernel(self.mixed_kernel, self.adoption)
-        if self.mixed_kernel == "sorted" and self.grid.mode != "linspace":
-            raise PricingError(
-                "the sorted mixed kernel requires a linspace grid; "
-                f"this engine's grid mode is {self.grid.mode!r}"
-            )
         self.stats = EngineStats()
         self._price_cache: dict[Bundle, PricedBundle] = {}
         # The raw-WTP stack of the previous scan's parents: row of each
@@ -605,7 +583,6 @@ class RevenueEngine:
             self.grid,
             self.chunk_elements,
             n_workers=self.n_workers,
-            mixed_kernel=self.mixed_kernel,
         )
         return [
             MixedMerge(

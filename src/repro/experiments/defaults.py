@@ -72,14 +72,12 @@ def default_engine(
         typed, validated, serializable engine recipe that new code should
         construct directly (``EngineConfig(...).build(wtp)``).  The shim
         routes the legacy ``**engine_kwargs`` (``chunk_elements=``,
-        ``n_workers=``, ``state_dtype=``, ``mixed_kernel=``) through the
-        config, so
-        unknown knobs now fail validation instead of reaching
+        ``n_workers=``, ``state_dtype=``) through the config, so unknown
+        knobs now fail validation instead of reaching
         :class:`RevenueEngine` as a ``TypeError``.
 
-    The default engine resolves ``mixed_kernel="auto"`` to the sorted
-    step-histogram kernel (step adoption is deterministic); the golden
-    snapshot is produced on that path.
+    Step adoption prices mixed merges with the step-histogram kernel; the
+    golden snapshot is produced on that path.
 
     Values the config schema cannot describe — a custom
     :class:`AdoptionModel` subclass, an explicit ``grid=`` or
@@ -137,5 +135,4 @@ def default_engine(
         chunk_elements=config.chunk_elements,
         n_workers=config.n_workers,
         state_dtype=config.state_dtype,
-        mixed_kernel=config.mixed_kernel,
     )

@@ -8,7 +8,6 @@ requests.  :class:`ServingState` does that work exactly once:
 
 * the **offer supports** (per-offer item-index arrays) and Equation-1 scale
   factors;
-* the **per-offer price vector**;
 * the **compiled offer forest** (mixed menus) and a single built adoption
   model;
 * the solution **fingerprint**, stamped on every response so clients can
@@ -30,7 +29,7 @@ configurations.  One exception: numpy sums a one-row bundle gather
 pairwise and a gather of more rows left to right, so where those sums
 round (bundles of 8+ items on WTP off the ratings grid) a one-row request
 priced inside a larger batch can differ in the last bit from the same row
-quoted alone (ROADMAP item 6).
+quoted alone (ROADMAP item 3).
 
 The ``quote_batch`` fault site lives here: when armed it raises
 :class:`~repro.errors.ServingError` before pricing, standing in for a
@@ -122,8 +121,8 @@ class ServingState:
         self.n_items: int = solution.n_items
         self.theta: float = config.theta
         self.adoption = config.adoption.build()
-        # Menu-side precomputes: per-offer supports (item-index arrays),
-        # Equation-1 scale factors, and the price vector.
+        # Menu-side precomputes: per-offer supports (item-index arrays) and
+        # Equation-1 scale factors.
         offers = solution.configuration.offers
         self.offers = offers
         self.offer_supports: tuple[np.ndarray, ...] = tuple(
@@ -133,10 +132,6 @@ class ServingState:
             1.0 + self.theta if offer.bundle.size >= 2 else 1.0
             for offer in offers
         )
-        self.price_vector: np.ndarray = np.asarray(
-            [offer.price for offer in offers], dtype=np.float64
-        )
-        self.price_vector.setflags(write=False)
         if isinstance(solution.configuration, MixedConfiguration):
             self.plan: ForestPlan | None = solution.configuration.plan()
         else:

@@ -3,12 +3,14 @@
 Run from the repo root with
 ``PYTHONPATH=src python tests/golden/make_continuous.py``.
 
-``default_config.json`` pins the heuristics on ratings data, whose WTP
-values are multiples of 0.25: every partial sum there is exact, so a
-change in the order a pair scan adds per-user values cannot show.  This
-snapshot pins the same four heuristics on seeded lognormal WTP, where the
-last bit of ``raw(b1) + raw(b2)`` depends on the summation order, with
-θ = 0.13, float64 and float32 mixed states, and two scan threads.
+``default_config.json`` pins the heuristics on ratings data.  Its WTP
+values are not all on a coarse grid (most are not multiples of 0.25),
+but most of its bundle sums happen to round the same way in either
+order, so a change in the order a pair scan adds per-user values seldom
+shows there.  This snapshot exists for data where it does: it pins the
+same four heuristics on seeded lognormal WTP, where the last bit of
+``raw(b1) + raw(b2)`` depends on the summation order, with θ = 0.13,
+float64 and float32 mixed states, and two scan threads.
 """
 
 import json

@@ -5,12 +5,12 @@ The snapshot pins the exact (bit-identical) output of the four heuristics on
 the default float64/linspace configuration; any refactor of the pricing path
 must keep these numbers unchanged.
 
-The snapshot's ``metadata`` block records which mixed-merge kernel produced
-it (the default engine resolves ``mixed_kernel="auto"`` by adoption model),
-because the sorted and band kernels accumulate per-user payments in
-different orders: their gains agree only to ~1e-9 relative, so switching
-the producing kernel is an *intentional* behaviour change that requires
-regenerating this file.
+The snapshot's ``metadata`` block records the mixed-merge kernel that
+produced it: ``"sorted"``, the step-histogram body that step adoption
+always runs.  A level-by-user band scan accumulates per-user payments in a
+different order (gains agree only to ~1e-9 relative), so changing the
+kernel is an *intentional* behaviour change that requires regenerating
+this file.
 """
 
 import json
@@ -18,7 +18,6 @@ from pathlib import Path
 
 from repro.algorithms.greedy import GreedyMerge
 from repro.algorithms.matching_iterative import IterativeMatching
-from repro.core.pricing import resolve_mixed_kernel
 from repro.data.synthetic import amazon_books_like
 from repro.data.wtp_mapping import wtp_from_ratings
 from repro.experiments.defaults import LAMBDA, default_engine
@@ -38,16 +37,11 @@ METHODS = {
 
 def snapshot() -> dict:
     datasets = {}
-    producing_kernel = None
     for ds_name, kwargs in DATASETS.items():
         wtp = wtp_from_ratings(amazon_books_like(**kwargs), conversion=LAMBDA)
         per_method = {}
         for method, factory in METHODS.items():
-            engine = default_engine(wtp)
-            producing_kernel = resolve_mixed_kernel(
-                engine.mixed_kernel, engine.adoption
-            )
-            result = factory().fit(engine)
+            result = factory().fit(default_engine(wtp))
             offers = sorted(
                 (sorted(o.bundle.items), o.price.hex(), o.revenue.hex())
                 for o in result.configuration.offers
@@ -60,7 +54,7 @@ def snapshot() -> dict:
     return {
         "metadata": {
             "generator": "tests/golden/make_golden.py",
-            "mixed_kernel": producing_kernel,
+            "mixed_kernel": "sorted",
         },
         "datasets": datasets,
     }

@@ -27,7 +27,7 @@ from repro.core.configuration import MixedConfiguration, PureConfiguration
 from repro.core.revenue import RevenueEngine
 from repro.data.synthetic import amazon_books_like
 from repro.data.wtp_mapping import wtp_from_ratings
-from repro.errors import CheckpointError, PricingError, ReproError, ValidationError
+from repro.errors import CheckpointError, ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +93,6 @@ class TestEngineConfig:
         assert engine.theta == 0.0
         assert engine.adoption.is_deterministic
         assert engine.grid.n_levels == 100
-        assert engine.mixed_kernel == "auto"
 
     def test_round_trip_through_json(self):
         config = EngineConfig(
@@ -103,7 +102,6 @@ class TestEngineConfig:
             chunk_elements=12345,
             n_workers=3,
             state_dtype="float32",
-            mixed_kernel="band",
         )
         payload = json.loads(json.dumps(config.to_dict()))
         assert EngineConfig.from_dict(payload) == config
@@ -133,12 +131,6 @@ class TestEngineConfig:
         with pytest.raises(ValidationError, match="unknown EngineConfig keys"):
             EngineConfig.from_dict({**EngineConfig().to_dict(), key: None})
 
-    def test_sorted_kernel_needs_deterministic_adoption(self):
-        with pytest.raises(ReproError):
-            EngineConfig(
-                mixed_kernel="sorted", adoption=AdoptionSpec(kind="sigmoid")
-            )
-
     def test_invalid_choices(self):
         with pytest.raises(ValidationError):
             EngineConfig(state_dtype="float16")
@@ -154,14 +146,12 @@ class TestEngineConfig:
             chunk_elements=9999,
             n_workers=2,
             state_dtype="float32",
-            mixed_kernel="band",
         )
         config = EngineConfig.from_engine(engine)
         assert config.theta == 0.1
         assert config.chunk_elements == 9999
         assert config.n_workers == 2
         assert config.state_dtype == "float32"
-        assert config.mixed_kernel == "band"
         rebuilt = config.build(engine.wtp)
         assert rebuilt.state_dtype == engine.state_dtype
         assert rebuilt.chunk_elements == engine.chunk_elements
@@ -356,6 +346,11 @@ class TestSolutionPayloadValidation:
         fails on its version, never as an unknown key or a tampered
         fingerprint."""
         self._assert_old_format_rejected(wtp, tmp_path, 3, {"raw_cache_entries": 64})
+
+    def test_v4_solution_and_checkpoint_rejected(self, wtp, tmp_path):
+        """Format 4 carried ``mixed_kernel`` in ``engine_config``; it fails
+        on its version, never as an unknown key or a tampered fingerprint."""
+        self._assert_old_format_rejected(wtp, tmp_path, 4, {"mixed_kernel": "sorted"})
 
     def test_strategy_configuration_mismatch(self, fitted):
         _, solution = fitted

@@ -41,8 +41,8 @@ class TestBundleCommand:
             main(["bundle", "--algorithm", "nope"])
 
     def test_backend_flags_forwarded(self, capsys, monkeypatch):
-        """--chunk-elements/--n-workers/--state-dtype/--mixed-kernel reach
-        the RevenueEngine."""
+        """--chunk-elements/--n-workers/--state-dtype reach the
+        RevenueEngine."""
         from repro.core.revenue import RevenueEngine
 
         captured = {}
@@ -56,14 +56,14 @@ class TestBundleCommand:
         code = main([
             "bundle", "--algorithm", "mixed_greedy", "--users", "60",
             "--items", "10", "--chunk-elements", "5000", "--n-workers", "3",
-            "--state-dtype", "float32", "--mixed-kernel", "sorted",
+            "--state-dtype", "float32",
         ])
         assert code == 0
         assert "expected revenue" in capsys.readouterr().out
         assert captured["chunk_elements"] == 5000
         assert captured["n_workers"] == 3
         assert captured["state_dtype"] == "float32"
-        assert captured["mixed_kernel"] == "sorted"
+        assert "mixed_kernel" not in captured
 
     @pytest.mark.parametrize("flag", ["--precision", "--storage"])
     def test_wtp_backend_flags_removed(self, flag, capsys):
@@ -73,16 +73,25 @@ class TestBundleCommand:
         with pytest.raises(SystemExit):
             main(["bundle", flag, "float32"])
 
-    def test_mixed_kernel_choices_validated(self):
-        with pytest.raises(SystemExit):
-            main(["bundle", "--mixed-kernel", "fastest"])
+    def test_mixed_kernel_choices_validated(self, capsys):
+        """The adoption model picks the mixed kernel; there is no flag."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bundle", "--mixed-kernel", "sorted"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --mixed-kernel" in capsys.readouterr().err
 
-    def test_sorted_kernel_run_close_to_band(self, capsys):
+    def test_sorted_kernel_run_close_to_band(self, capsys, monkeypatch):
+        """A CLI run on the shipped step kernel lands within 1% of one whose
+        mixed scan runs the band oracle of ``tests/mixed_oracles.py``."""
+        from mixed_oracles import use_band_scan
+
         revenues = []
         for kernel in ("band", "sorted"):
-            assert main(["bundle", "--algorithm", "mixed_greedy", "--users", "80",
-                         "--items", "12", "--seed", "3",
-                         "--mixed-kernel", kernel]) == 0
+            with monkeypatch.context() as patch:
+                if kernel == "band":
+                    use_band_scan(patch)
+                assert main(["bundle", "--algorithm", "mixed_greedy", "--users", "80",
+                             "--items", "12", "--seed", "3"]) == 0
             out = capsys.readouterr().out
             line = next(l for l in out.splitlines() if "expected revenue" in l)
             revenues.append(float(line.split(":")[1]))

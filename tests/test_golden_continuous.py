@@ -1,7 +1,7 @@
 """Bit-identity of the four heuristics on continuous WTP.
 
-The ratings golden (``test_golden_default.py``) sums multiples of 0.25,
-where every order of addition gives the same bits.  This snapshot pins
+On the ratings golden (``test_golden_default.py``) most bundle sums happen
+to round the same way in either order of addition.  This snapshot pins
 fits on seeded lognormal WTP with θ = 0.13, float64 and float32 mixed
 states and two scan threads, so a change in how a pair scan assembles
 ``(raw(b1) + raw(b2)) · (1 + θ)`` or ``score1 + score2`` shows in the last

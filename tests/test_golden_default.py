@@ -7,13 +7,11 @@ incremental raw-WTP assembly, bit-packed co-support, and bincount histogram
 are all required to leave these results bit-for-bit unchanged; this test
 catches any silent numeric drift in the hot path.
 
-The snapshot's ``metadata.mixed_kernel`` records which mixed-merge kernel
-produced it; the default engine must still resolve to that kernel, so a
-change of the default pricing path cannot silently ride on a stale
-snapshot.  (The current snapshot is produced by the sorted step-histogram
-kernel — the band kernel accumulates payments in a different order, so its
-gains differ at ~1e-9 relative and its merge choices can differ on
-knife-edge ties.)
+The snapshot's ``metadata.mixed_kernel`` names the mixed-merge kernel that
+produced it: ``"sorted"``, the step-histogram body step adoption always
+runs.  A level-by-user band scan accumulates payments in a different
+order, so its gains differ at ~1e-9 relative and its merge choices can
+differ on knife-edge ties.
 
 Regenerate (only after an *intentional* behaviour change) with::
 
@@ -27,7 +25,6 @@ import pytest
 
 from repro.algorithms.greedy import GreedyMerge
 from repro.algorithms.matching_iterative import IterativeMatching
-from repro.core.pricing import resolve_mixed_kernel
 from repro.data.synthetic import amazon_books_like
 from repro.data.wtp_mapping import wtp_from_ratings
 from repro.experiments.defaults import LAMBDA, default_engine
@@ -78,10 +75,11 @@ def wtp_matrices():
 
 
 def test_snapshot_metadata_matches_default_kernel(snapshot, wtp_matrices):
-    """The default engine must resolve to the snapshot's producing kernel."""
+    """The snapshot was produced by the step-histogram kernel, which every
+    step-adoption engine runs."""
     engine = ENGINES["default"](wtp_matrices["small"])
-    resolved = resolve_mixed_kernel(engine.mixed_kernel, engine.adoption)
-    assert snapshot["metadata"]["mixed_kernel"] == resolved
+    assert engine.adoption.is_deterministic
+    assert snapshot["metadata"]["mixed_kernel"] == "sorted"
 
 
 @pytest.mark.parametrize("engine_variant", list(ENGINES))

@@ -171,9 +171,12 @@ class TestMixedFillBufferBudget:
     ``chunk_elements`` promise.
     """
 
-    @pytest.mark.parametrize("mixed_kernel", ["band", "sorted"])
-    def test_fill_allocation_stays_within_budget(self, monkeypatch, mixed_kernel):
-        from repro.core.adoption import StepAdoption as Step
+    # The ids name the body each adoption model selects: the band scan
+    # under sigmoid adoption, the step histogram ("sorted") under step.
+    @pytest.mark.parametrize(
+        "adoption", [SigmoidAdoption(gamma=2.0), StepAdoption()], ids=["band", "sorted"]
+    )
+    def test_fill_allocation_stays_within_budget(self, monkeypatch, adoption):
         from repro.core.kernels import MIXED_FILL_BUFFERS, stream_mixed_merges
 
         n_users, n_pairs = 64, 40
@@ -200,8 +203,7 @@ class TestMixedFillBufferBudget:
             return np.full(stop - start, 2.0), np.full(stop - start, 9.0)
 
         result = stream_mixed_merges(
-            fill, n_pairs, n_users, Step(), PriceGrid(30),
-            chunk_elements=budget, mixed_kernel=mixed_kernel,
+            fill, n_pairs, n_users, adoption, PriceGrid(30), chunk_elements=budget
         )
         assert fill_allocations, "fill buffers were never allocated"
         assert sum(fill_allocations) <= budget * 8  # float64 bytes
@@ -213,8 +215,7 @@ class TestMixedFillBufferBudget:
         # Narrower chunks must not change the scan's results.
         monkeypatch.setattr(np, "empty", real_empty)
         unchunked = stream_mixed_merges(
-            fill, n_pairs, n_users, Step(), PriceGrid(30),
-            chunk_elements=None, mixed_kernel=mixed_kernel,
+            fill, n_pairs, n_users, adoption, PriceGrid(30), chunk_elements=None
         )
         for got, want in zip(result, unchunked):
             np.testing.assert_allclose(got, want, rtol=1e-9)

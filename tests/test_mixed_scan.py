@@ -2,11 +2,12 @@
 
 Three contracts are pinned here:
 
-* **exact pricing** — :func:`~repro.core.pricing.price_mixed_bundle_batch_sorted`
-  agrees with a small oracle that tests every level's upgrade set with the
-  same float threshold (``margin >= level - DECISION_RTOL * (1 + |level|)``)
-  and sums payments exactly with :class:`fractions.Fraction`: feasibility,
-  per-level upgrade counts and ``upgraded`` match exactly; the chosen
+* **exact pricing** — :func:`~repro.core.pricing.price_mixed_bundle_batch`
+  under step adoption (its step-histogram body) agrees with a small oracle
+  that tests every level's upgrade set with the same float threshold
+  (``margin >= level - DECISION_RTOL * (1 + |level|)``) and sums payments
+  exactly with :class:`fractions.Fraction`: feasibility, per-level upgrade
+  counts and ``upgraded`` match exactly; the chosen
   price's exact gain is within ``1e-12 * (1 + sum(pay))`` of the exact
   maximum, and so is ``gain``; where distinct gains are further apart than
   that bound, the price is the lowest level within it, and exact ties go
@@ -33,7 +34,7 @@ from repro.core.kernels import SCAN_BLOCK_ELEMENTS, stream_mixed_merges
 from repro.core.pricing import (
     DEFAULT_CHUNK_ELEMENTS,
     PriceGrid,
-    price_mixed_bundle_batch_sorted,
+    price_mixed_bundle_batch,
 )
 
 
@@ -127,7 +128,7 @@ def check_every_level(block, references, adoption, n_levels):
         repeat = np.full(n_levels, k)
         floors = np.concatenate(([-np.inf], levels[:-1]))
         ceilings = np.concatenate((levels[1:], [np.inf]))
-        prices, gains, upgraded, feasible = price_mixed_bundle_batch_sorted(
+        prices, gains, upgraded, feasible = price_mixed_bundle_batch(
             wtp[:, repeat],
             score[:, repeat],
             pay[:, repeat],
@@ -242,7 +243,7 @@ def test_histogram_kernel_matches_exact_oracle(
     block = (*columns, floors, ceilings)
     grid = PriceGrid(n_levels)
     before = [part.copy() for part in block]
-    result = price_mixed_bundle_batch_sorted(*block, adoption, grid)
+    result = price_mixed_bundle_batch(*block, adoption, grid)
     assert all(np.array_equal(a, b) for a, b in zip(block, before))
     references = check_against_oracle(block, result, adoption, n_levels)
     check_every_level(block, references, adoption, n_levels)
@@ -255,15 +256,13 @@ def test_histogram_kernel_matches_exact_oracle(
             floors,
             ceilings,
         )
-        assert_same_bits(
-            price_mixed_bundle_batch_sorted(*narrow, adoption, grid), result
-        )
+        assert_same_bits(price_mixed_bundle_batch(*narrow, adoption, grid), result)
 
     # Columns are independent: any subset, in any order, prices the same.
     n_pairs = wtp.shape[1]
     permutation = data.draw(st.permutations(range(n_pairs)))
     keep = np.asarray(permutation[: data.draw(st.integers(1, n_pairs))])
-    subset = price_mixed_bundle_batch_sorted(
+    subset = price_mixed_bundle_batch(
         wtp[:, keep],
         score[:, keep],
         pay[:, keep],
@@ -281,7 +280,7 @@ def test_exact_ties_go_to_the_lowest_level():
     wtp = np.array([[8.0, 8.0], [2.0, 2.0]])
     score = np.array([[4.0, 100.0], [0.0, 100.0]])
     pay = np.array([[1.0, 1.0], [0.0, 0.0]])
-    prices, gains, upgraded, feasible = price_mixed_bundle_batch_sorted(
+    prices, gains, upgraded, feasible = price_mixed_bundle_batch(
         wtp,
         score,
         pay,
@@ -322,9 +321,7 @@ def test_tiny_top_buckets_need_several_corrections():
             np.array([floor]),
             np.array([ceiling]),
         )
-        result = price_mixed_bundle_batch_sorted(
-            *block, StepAdoption(), PriceGrid(n_levels)
-        )
+        result = price_mixed_bundle_batch(*block, StepAdoption(), PriceGrid(n_levels))
         references = check_against_oracle(block, result, StepAdoption(), n_levels)
         check_every_level(block, references, StepAdoption(), n_levels)
     counts = references[0][1]
@@ -374,18 +371,14 @@ def test_stream_mixed_merges_peak_memory_is_cache_sized():
     args = (fill, N_PAIRS, N_USERS, StepAdoption(), PriceGrid())
     tracemalloc.start()
     try:
-        streamed = stream_mixed_merges(
-            *args, chunk_elements=DEFAULT_CHUNK_ELEMENTS, mixed_kernel="sorted"
-        )
+        streamed = stream_mixed_merges(*args, chunk_elements=DEFAULT_CHUNK_ELEMENTS)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20, f"mixed scan peaked at {peak / 2**20:.1f} MB"
     assert streamed[3].sum() > N_PAIRS // 2  # most intervals are feasible
 
-    assert_same_bits(
-        stream_mixed_merges(*args, chunk_elements=1, mixed_kernel="sorted"), streamed
-    )
+    assert_same_bits(stream_mixed_merges(*args, chunk_elements=1), streamed)
     prefix = 64
     unchunked = stream_mixed_merges(
         fill,
@@ -394,7 +387,6 @@ def test_stream_mixed_merges_peak_memory_is_cache_sized():
         StepAdoption(),
         PriceGrid(),
         chunk_elements=None,
-        mixed_kernel="sorted",
     )
     assert_same_bits(unchunked, tuple(part[:prefix] for part in streamed))
 
@@ -416,7 +408,6 @@ def test_mixed_scan_span_reports_block_width():
             StepAdoption(),
             PriceGrid(),
             chunk_elements=budget,
-            mixed_kernel="sorted",
         )
         event = tracer.events()[-1]
         assert event["name"] == "scan.mixed_merges"
@@ -446,6 +437,5 @@ def test_fill_columns_are_contiguous_on_every_executor():
             PriceGrid(),
             chunk_elements=15000,
             n_workers=workers,
-            mixed_kernel="sorted",
         )
     assert layouts and all(layouts)

@@ -101,7 +101,7 @@ def test_mixed_columns_follow_the_fill_rule(monkeypatch, wtp, budget, state_dtyp
     states = engine.offer_states(priced)
     assert states.score.dtype == np.dtype(state_dtype)
     pairs = pairs_of(priced)
-    calls = record_blocks(monkeypatch, "price_mixed_bundle_batch_sorted")
+    calls = record_blocks(monkeypatch, "price_mixed_bundle_batch")
     engine.mixed_merge_gains(priced, states, pairs)
     if budget is not None:
         assert len(calls) > 1
