@@ -33,7 +33,12 @@ A third gate also needs one core and always runs: on a seeded ~115-offer
 :class:`~repro.core.choice.ForestPlan` must equal the per-node recursion
 of ``tests/forest_oracles.py`` bit for bit (payments, and buyers per offer)
 and run at least ``FOREST_MIN_SPEEDUP`` times faster.  Its figures go
-under ``"forest"``.
+under ``"forest"``.  Its pure twin fits ``pure_matching`` on the same
+recipe: a pure menu is a forest of roots, and the same quotes through its
+plan (payments and buyers, as a pure menu is served) must equal the
+per-offer loop of ``tests/forest_oracles.py`` bit for bit (payments,
+buyers per offer, and the revenue summed as price · buyers) and run at
+least ``FOREST_MIN_SPEEDUP`` times faster, under ``"forest"``/``"pure"``.
 
 Run from the repo root::
 
@@ -53,6 +58,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.api import BundlingSolver, EngineConfig
+from repro.core.choice import ChoiceOutcome
 from repro.core.kernels import available_cpus
 from repro.data.synthetic import amazon_books_like
 from repro.core.wtp import WTPMatrix
@@ -128,13 +134,13 @@ def matching_cell(repeats: int = 3) -> dict:
     }
 
 
-def _forest_oracle():
+def _forest_oracles():
     """``tests/forest_oracles.py``, loaded by path (it is not a package)."""
     path = Path(__file__).resolve().parent.parent / "tests" / "forest_oracles.py"
     spec = importlib.util.spec_from_file_location("repro_forest_oracles", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.recursive_evaluate_forest, module.engine_wtp_of
+    return module
 
 
 def _same_choice(outcome, expected) -> bool:
@@ -147,50 +153,16 @@ def _same_choice(outcome, expected) -> bool:
     return same_payments and buyers[0] == buyers[1]
 
 
-def forest_cell(repeats: int = 3) -> dict:
-    """Quotes through the compiled forest against the per-node recursion."""
-    recursive_evaluate_forest, engine_wtp_of = _forest_oracle()
-    n_fit = FOREST_MENU["fit_users"]
-    theta = FOREST_MENU["theta"]
-    dataset = amazon_books_like(
-        n_users=n_fit + FOREST_REQUESTS * max(FOREST_ROWS),
-        n_items=FOREST_MENU["n_items"],
-        seed=FOREST_MENU["seed"],
-    )
-    values = wtp_from_ratings(dataset, conversion=1.25).values
-    solver = BundlingSolver("mixed_matching", EngineConfig(theta=theta))
-    solution = solver.fit(WTPMatrix(values[:n_fit]))
-    forest = solution.configuration.forest()
-    plan = solution.configuration.plan()
-    adoption = solution.engine_config.adoption.build()
-    held_out = values[n_fit:]
+def _plan_against_oracle(
+    requests_by_rows: dict, quote, oracle, same, repeats: int
+) -> dict:
+    """Per request size: ``quote`` (the plan) equals ``oracle`` on every
+    request by ``same``, and the oracle's wall time over the plan's."""
     cells = {}
-    for n_rows in FOREST_ROWS:
-        requests = [
-            WTPMatrix(held_out[k * n_rows : (k + 1) * n_rows])
-            for k in range(FOREST_REQUESTS)
-        ]
-        identical = True
-        for rows in requests:
-            expected = recursive_evaluate_forest(
-                forest, engine_wtp_of(rows, theta), adoption
-            )
-            payments = plan.payments(rows, theta, adoption)
-            identical &= payments.tobytes() == expected.payments.tobytes()
-            identical &= _same_choice(plan.evaluate(rows, theta, adoption), expected)
-        plan_s, _ = _best_of(
-            repeats,
-            lambda batch: [plan.payments(rows, theta, adoption) for rows in batch],
-            requests,
-        )
-        oracle_s, _ = _best_of(
-            repeats,
-            lambda batch: [
-                recursive_evaluate_forest(forest, engine_wtp_of(rows, theta), adoption)
-                for rows in batch
-            ],
-            requests,
-        )
+    for n_rows, requests in requests_by_rows.items():
+        identical = all(same(rows, quote(rows), oracle(rows)) for rows in requests)
+        plan_s, _ = _best_of(repeats, lambda rs: [quote(r) for r in rs], requests)
+        oracle_s, _ = _best_of(repeats, lambda rs: [oracle(r) for r in rs], requests)
         cells[f"rows_{n_rows}"] = {
             "plan_ms_per_quote": round(1e3 * plan_s / FOREST_REQUESTS, 4),
             "oracle_ms_per_quote": round(1e3 * oracle_s / FOREST_REQUESTS, 4),
@@ -200,6 +172,77 @@ def forest_cell(repeats: int = 3) -> dict:
     bit_identical = all(cell["bit_identical"] for cell in cells.values())
     speedup = min(cell["speedup_x"] for cell in cells.values())
     return {
+        **cells,
+        "bit_identical": bit_identical,
+        "speedup_x": speedup,
+        "passed": bit_identical and speedup >= FOREST_MIN_SPEEDUP,
+    }
+
+
+def forest_cell(repeats: int = 3) -> dict:
+    """Quotes through the compiled forest against the per-node recursion,
+    and a pure menu's plan against the per-offer loop."""
+    oracles = _forest_oracles()
+    n_fit = FOREST_MENU["fit_users"]
+    theta = FOREST_MENU["theta"]
+    dataset = amazon_books_like(
+        n_users=n_fit + FOREST_REQUESTS * max(FOREST_ROWS),
+        n_items=FOREST_MENU["n_items"],
+        seed=FOREST_MENU["seed"],
+    )
+    values = wtp_from_ratings(dataset, conversion=1.25).values
+    held_out = values[n_fit:]
+    requests_by_rows = {
+        n_rows: [
+            WTPMatrix(held_out[k * n_rows : (k + 1) * n_rows])
+            for k in range(FOREST_REQUESTS)
+        ]
+        for n_rows in FOREST_ROWS
+    }
+    config = EngineConfig(theta=theta)
+    adoption = config.adoption.build()
+    fit_wtp = WTPMatrix(values[:n_fit])
+    mixed = BundlingSolver("mixed_matching", config).fit(fit_wtp).configuration
+    forest, plan = mixed.forest(), mixed.plan()
+
+    def recursion(rows):
+        wtp_of = oracles.engine_wtp_of(rows, theta)
+        return oracles.recursive_evaluate_forest(forest, wtp_of, adoption)
+
+    def same_mixed(rows, payments, expected) -> bool:
+        same_payments = payments.tobytes() == expected.payments.tobytes()
+        outcome = plan.evaluate(rows, theta, adoption)
+        return same_payments and _same_choice(outcome, expected)
+
+    cell = _plan_against_oracle(
+        requests_by_rows,
+        lambda rows: plan.payments(rows, theta, adoption),
+        recursion,
+        same_mixed,
+        repeats,
+    )
+
+    # The pure twin: a pure menu is a forest of roots, and serving it runs
+    # the plan with buyers (its revenue is the sum of price · buyers).
+    pure = BundlingSolver("pure_matching", config).fit(fit_wtp).configuration
+    pure_plan = pure.plan()
+
+    def per_offer_loop(rows):
+        return oracles.pure_menu_outcome(pure.offers, rows, theta, adoption)
+
+    def same_pure(rows, outcome, expected) -> bool:
+        payments, buyers, revenue = expected
+        same = _same_choice(outcome, ChoiceOutcome(payments, buyers))
+        return same and pure.revenue(outcome) == revenue
+
+    pure_cell = _plan_against_oracle(
+        requests_by_rows,
+        lambda rows: pure_plan.evaluate(rows, theta, adoption),
+        per_offer_loop,
+        same_pure,
+        repeats,
+    )
+    return {
         "menu": {
             **FOREST_MENU,
             "offers": len(plan.nodes),
@@ -207,11 +250,17 @@ def forest_cell(repeats: int = 3) -> dict:
             "bundle_sizes": len(plan.size_groups),
         },
         "requests_per_size": FOREST_REQUESTS,
-        **cells,
-        "bit_identical": bit_identical,
-        "speedup_x": speedup,
+        **cell,
         "gate": f"bit-identical and recursion / plan >= {FOREST_MIN_SPEEDUP}x",
-        "passed": bit_identical and speedup >= FOREST_MIN_SPEEDUP,
+        "pure": {
+            "menu": {
+                "algorithm": "pure_matching",
+                "offers": len(pure_plan.nodes),
+                "bundle_sizes": len(pure_plan.size_groups),
+            },
+            **pure_cell,
+            "gate": f"bit-identical and loop / plan >= {FOREST_MIN_SPEEDUP}x",
+        },
     }
 
 
@@ -272,7 +321,15 @@ def build_report(args) -> tuple[dict, int]:
             f"(gate {FOREST_MIN_SPEEDUP}x), bit-identical: {forest['bit_identical']}",
             file=sys.stderr,
         )
-    one_core_code = 0 if matching["passed"] and forest["passed"] else 1
+    pure = forest["pure"]
+    if not pure["passed"]:
+        print(
+            f"FAIL: the pure-menu plan is {pure['speedup_x']}x the per-offer loop "
+            f"(gate {FOREST_MIN_SPEEDUP}x), bit-identical: {pure['bit_identical']}",
+            file=sys.stderr,
+        )
+    one_core_passed = matching["passed"] and forest["passed"] and pure["passed"]
+    one_core_code = 0 if one_core_passed else 1
     report = {
         "benchmark": (
             "perf-smoke (threaded vs serial pair scans; blossom vs networkx; "

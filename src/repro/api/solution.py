@@ -36,7 +36,7 @@ import numpy as np
 from repro.api.config import AlgorithmSpec, EngineConfig
 from repro.core.bundle import Bundle
 from repro.core.configuration import MixedConfiguration, PureConfiguration
-from repro.core.evaluation import EvaluationReport, evaluate, expected_pure_outcome
+from repro.core.evaluation import EvaluationReport, evaluate
 from repro.core.pricing import PricedBundle
 from repro.core.revenue import RevenueEngine
 from repro.core.wtp import WTPMatrix
@@ -232,31 +232,22 @@ class BundlingSolution:
                 f"on {self.n_items}"
             )
         engine = self.engine_config.build(wtp)
-        configuration = self.configuration
-        if isinstance(configuration, PureConfiguration):
-            # One pass over the disjoint offers: revenue through the same
-            # per-offer accumulation as evaluate() (bit-exact with the fit),
-            # per-user payments alongside.
-            expected, buyers, payments = expected_pure_outcome(configuration, engine)
-        else:
-            outcome = configuration.plan().evaluate(
-                engine.wtp, engine.theta, engine.adoption
-            )
-            expected = outcome.revenue
-            buyers = outcome.buyers_per_offer
-            payments = outcome.payments
+        outcome = self.configuration.plan().evaluate(
+            engine.wtp, engine.theta, engine.adoption
+        )
+        revenue = self.configuration.revenue(outcome)
         return QuoteResult(
-            payments=payments,
-            revenue=float(expected),
-            coverage=engine.coverage(float(expected)),
-            buyers_per_offer=buyers,
+            payments=outcome.payments,
+            revenue=revenue,
+            coverage=engine.coverage(revenue),
+            buyers_per_offer=outcome.buyers_per_offer,
         )
 
     def serving_state(self):
         """A warm :class:`~repro.serving.state.ServingState` over this menu.
 
-        Precomputes everything :meth:`quote` rebuilds per call (engine,
-        adoption model, offer supports, forest, fingerprint) so repeated
+        Precomputes everything :meth:`quote` rebuilds per call (adoption
+        model, compiled offer forest, fingerprint) so repeated
         quoting — in particular the :class:`~repro.serving.server.QuoteServer`
         micro-batch path — skips the per-call setup while answering
         bit-identically to :meth:`quote`.

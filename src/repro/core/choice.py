@@ -1,7 +1,9 @@
 """Consumer choice over a set of offers (paper, Sections 4.1–4.2).
 
 Pure bundling offers disjoint bundles, so each adoption decision is
-independent and Equation 6 applies verbatim.  Mixed bundling offers a
+independent and Equation 6 applies verbatim: a partition is a laminar
+family in which no offer nests another, a forest whose offers are all
+roots, and the recursion below prices it exactly.  Mixed bundling offers a
 *laminar* family (a bundle may be offered together with its components —
 Problem 2's nesting condition), so a consumer faces real alternatives and
 the paper's "upgrade" logic applies: with components A, B priced p_A, p_B
@@ -38,9 +40,10 @@ the partition function factorizes across sibling subtrees.  The same
 recursion powers the incremental mixed-merge pricing of Section 4.2, so
 gains measured during search agree exactly with the final evaluation.
 
-Evaluation runs one compiled :class:`ForestPlan` per configuration: fit
-finalization, mixed refit, ``solution.quote`` and the quote server all
-call it, and :func:`evaluate_forest` compiles one for an ad-hoc forest.
+Evaluation runs one compiled :class:`ForestPlan` per configuration, pure
+or mixed: ``evaluate`` (fit finalization, refit), ``solution.quote`` and
+the quote server all call it, and :func:`evaluate_forest` compiles one
+for an ad-hoc forest.
 The plan applies the recursion one tree *height* at a time, across every
 offer of that height, in blocks of at most
 ``SCAN_BLOCK_ELEMENTS // n_offers`` users.  A block costs
@@ -61,7 +64,11 @@ order:
   child's state, then each further child added in place), never padded
   with ``+ 0.0``; **roots** fold in root order;
 * the decision **tolerances** are the expressions of
-  :func:`upgrade_probability` and :func:`decision_tolerance`, unchanged;
+  :func:`upgrade_probability` and :func:`decision_tolerance`, unchanged.
+  A childless offer decides by the standalone rule
+  ``u >= -decision_tolerance(p)`` alone, as :func:`singleton_state`, the
+  pricers and ``StepAdoption.probability`` do, and an offer priced
+  ``<= 0`` is never taken (no buyers, no payment);
 * **buyers** under step adoption are 0/1 per user, so block counts add
   up exactly; under sigmoid adoption each offer keeps one full-length row
   and reduces it once, as a whole-population array would.
@@ -267,6 +274,7 @@ class _Level(NamedTuple):
     hi: int
     prices: np.ndarray  # (n, 1)
     floor: np.ndarray  # (n, 1): -decision_tolerance(prices)
+    offered: np.ndarray | None  # (n, 1) prices > 0; None when all are
     children: np.ndarray  # (n, fan-out) child rows, zero-padded
     counts: list[int]  # counts[k]: nodes with a k-th child (a prefix)
     parents: np.ndarray  # (n,) parent rows; n_nodes for a root
@@ -280,10 +288,13 @@ class ForestPlan:
     of a node's children have rows below it.  Within a height, nodes are
     ordered by falling fan-out, so the nodes with a ``k``-th child are a
     prefix of the run.  The plan holds, per height, the price column, its
-    decision floor ``-decision_tolerance(price)``, a padded child-row
-    matrix and each node's parent row; per bundle size, the ``(n_s, s)``
+    decision floor ``-decision_tolerance(price)``, which prices are
+    positive (when not all are), a padded child-row matrix and each
+    node's parent row; per bundle size, the ``(n_s, s)``
     item-index matrix of that size's offers; and the root rows in root
-    order.  It keeps no WTP, so one plan serves any population.
+    order.  It keeps no WTP, so one plan serves any population.  A pure
+    menu's plan is one height of roots in offer order, so its payments
+    fold in offer order and its buyers are each offer's own adoption.
     """
 
     def __init__(self, roots: list[OfferNode]) -> None:
@@ -308,6 +319,7 @@ class ForestPlan:
         self.nodes: tuple[OfferNode, ...] = tuple(nodes)
         self.roots = np.asarray([row[id(root)] for root in roots], dtype=np.intp)
         self.preorder = np.asarray([row[id(node)] for node in preorder], dtype=np.intp)
+        self._preorder_bundles = [node.bundle for node in preorder]
         self.levels: list[_Level] = []
         lo = 0
         while lo < len(nodes):
@@ -321,8 +333,9 @@ class ForestPlan:
             counts = [sum(f > k for f in fanouts) for k in range(fanouts[0])]
             column = prices[lo:hi, None]
             floor = -decision_tolerance(column)
+            offered = None if (column > 0).all() else column > 0
             self.levels.append(
-                _Level(lo, hi, column, floor, children, counts, parent[lo:hi])
+                _Level(lo, hi, column, floor, offered, children, counts, parent[lo:hi])
             )
             lo = hi
         by_size: dict[int, list[int]] = {}
@@ -350,16 +363,32 @@ class ForestPlan:
         buyers pass is skipped.
         """
         block_wtp = partial(self._block_wtp, wtp, theta)
-        payments, _ = self._run(wtp.n_users, block_wtp, adoption, False)
+        payments, _ = self._run(wtp.n_users, block_wtp, adoption, None)
         return payments
 
     def evaluate(
         self, wtp: WTPMatrix, theta: float, adoption: AdoptionModel
     ) -> ChoiceOutcome:
         """:meth:`payments` plus the expected buyers of every offer."""
+        return self.evaluate_ranges(wtp, theta, adoption, [0, wtp.n_users])[0]
+
+    def evaluate_ranges(
+        self, wtp: WTPMatrix, theta: float, adoption: AdoptionModel, bounds
+    ) -> list[ChoiceOutcome]:
+        """One :meth:`evaluate` outcome per user range
+        ``bounds[k]:bounds[k + 1]`` of *wtp*, from one pass over all users.
+
+        Payments are per user and each range's buyers are reduced over that
+        range alone, so each outcome equals :meth:`evaluate` on the range's
+        rows as their own matrix (the quote server prices stacked requests
+        this way).
+        """
         block_wtp = partial(self._block_wtp, wtp, theta)
-        payments, buyers = self._run(wtp.n_users, block_wtp, adoption, True)
-        return ChoiceOutcome(payments=payments, buyers_per_offer=buyers)
+        payments, buyers = self._run(wtp.n_users, block_wtp, adoption, bounds)
+        return [
+            ChoiceOutcome(payments=payments[lo:hi], buyers_per_offer=counts)
+            for lo, hi, counts in zip(bounds[:-1], bounds[1:], buyers)
+        ]
 
     # ------------------------------------------------------------- internals
     def _block_wtp(self, wtp: WTPMatrix, theta: float, lo: int, hi: int) -> np.ndarray:
@@ -379,23 +408,22 @@ class ForestPlan:
         return block
 
     def _run(
-        self, n_users: int, block_wtp, adoption: AdoptionModel, with_buyers: bool
-    ) -> tuple[np.ndarray, dict[Bundle, float] | None]:
-        """Payments (and buyers) of *n_users* users, one row block at a time.
+        self, n_users: int, block_wtp, adoption: AdoptionModel, bounds
+    ) -> tuple[np.ndarray, list[dict[Bundle, float]] | None]:
+        """Payments of *n_users* users, one row block at a time, and the
+        buyers of each user range in *bounds* (none when it is None).
 
         ``block_wtp(lo, hi)`` gives the offers' WTP rows for users
         ``lo:hi``.  Deterministic buyers are 0/1 per user, so per-block
         counts add up exactly; stochastic buyers keep one full-length row
-        per offer and reduce it once, the same pairwise sum as a
-        whole-population array.
+        per offer and reduce each range of it once, the same pairwise sum
+        as an array of that range alone.
         """
         payments = np.empty(n_users)
         exact_counts = adoption.is_deterministic
-        if not with_buyers:
-            taken_rows = None
-        elif exact_counts:
-            taken_rows = np.zeros(len(self.nodes))
-        else:
+        ranges = [] if bounds is None else list(zip(bounds[:-1], bounds[1:]))
+        counts = np.zeros((len(ranges), len(self.nodes)))
+        if ranges and not exact_counts:
             taken_rows = np.empty((len(self.nodes), n_users))
         starts = list(range(0, n_users, self.block_rows))
         if len(starts) > 1 and n_users - starts[-1] == 1:
@@ -404,16 +432,22 @@ class ForestPlan:
             pay, take = self._bottom_up(block_wtp(lo, hi), adoption)
             # Roots fold in root order, like the payments of sibling trees.
             payments[lo:hi] = np.add.accumulate(pay[self.roots], axis=0)[-1]
-            if taken_rows is not None:
-                taken = self._top_down(take)
-                if exact_counts:
-                    taken_rows += taken.sum(axis=1)
-                else:
-                    taken_rows[:, lo:hi] = taken
-        if taken_rows is None:
+            if not ranges:
+                continue
+            taken = self._top_down(take)
+            if not exact_counts:
+                taken_rows[:, lo:hi] = taken
+                continue
+            for k, (first, last) in enumerate(ranges):
+                if first < hi and last > lo:
+                    part = taken[:, max(first, lo) - lo : min(last, hi) - lo]
+                    counts[k] += part.sum(axis=1)
+        if bounds is None:
             return payments, None
-        counts = taken_rows if exact_counts else taken_rows.sum(axis=1)
-        buyers = {self.nodes[k].bundle: float(counts[k]) for k in self.preorder}
+        if not exact_counts:
+            counts = [taken_rows[:, first:last].sum(axis=1) for first, last in ranges]
+        bundles = self._preorder_bundles
+        buyers = [dict(zip(bundles, count[self.preorder].tolist())) for count in counts]
         return payments, buyers
 
     def _bottom_up(
@@ -425,7 +459,7 @@ class ForestPlan:
         pay = np.empty_like(wtp)
         take = np.empty_like(wtp)
         deterministic = adoption.is_deterministic
-        for lo, hi, prices, floor, children, counts, _ in self.levels:
+        for lo, hi, prices, floor, offered, children, counts, _ in self.levels:
             utility = adoption.utility(wtp[lo:hi], prices)
             # The base (children's combined state) is built in place in
             # this height's own rows, then updated by the offer itself.
@@ -444,20 +478,27 @@ class ForestPlan:
                     np.add(base_score[:n], score[rows], out=base_score[:n])
                     np.add(base_pay[:n], pay[rows], out=base_pay[:n])
             if deterministic:
-                # upgrade_probability's slack, DECISION_RTOL·(1 + |u| + |base|).
-                bar = np.abs(utility)
-                bar += 1.0
-                bar += np.abs(base_score)
-                bar *= DECISION_RTOL
-                np.subtract(base_score, bar, out=bar)
-                taken = utility >= bar
-                taken &= utility >= floor
+                # A leaf decides by the standalone rule u >= floor alone; a
+                # parent must also beat its base within upgrade_probability's
+                # slack, DECISION_RTOL·(1 + |u| + |base|).
+                taken = utility >= floor
+                if counts:
+                    bar = np.abs(utility)
+                    bar += 1.0
+                    bar += np.abs(base_score)
+                    bar *= DECISION_RTOL
+                    np.subtract(base_score, bar, out=bar)
+                    taken &= utility >= bar
+                if offered is not None:
+                    taken &= offered
                 take[lo:hi] = taken
                 np.maximum(base_score, utility, out=base_score)
                 np.maximum(base_score, 0.0, out=base_score)
                 np.copyto(base_pay, prices, where=taken)
             else:
                 upgrade = _sigmoid(utility - base_score)
+                if offered is not None:
+                    upgrade *= offered
                 take[lo:hi] = upgrade
                 np.logaddexp(base_score, utility, out=base_score)
                 base_pay *= 1.0 - upgrade
@@ -467,6 +508,8 @@ class ForestPlan:
     def _top_down(self, take: np.ndarray) -> np.ndarray:
         """P(user takes each node): P(node | subtree) · P(no ancestor taken),
         one height at a time from the top."""
+        if len(self.levels) == 1:
+            return take  # a forest of roots: no ancestor to have been taken
         taken = np.empty_like(take)
         # Row n_nodes is the roots' "parent": everyone is still choosing.
         remaining = np.empty((take.shape[0] + 1, take.shape[1]))
@@ -498,9 +541,9 @@ def evaluate_forest(
         wtp.shape[1],
         lambda lo, hi: np.ascontiguousarray(wtp[:, lo:hi]),
         adoption,
-        True,
+        [0, wtp.shape[1]],
     )
-    return ChoiceOutcome(payments=payments, buyers_per_offer=buyers)
+    return ChoiceOutcome(payments=payments, buyers_per_offer=buyers[0])
 
 
 def sample_forest(
@@ -533,10 +576,11 @@ def sample_forest(
         return SubtreeState(score, np.zeros(0)), prob, child_results, node
 
     def sample(prob, child_results, node: OfferNode, alive: np.ndarray) -> np.ndarray:
-        take = alive & (rng.random(size=prob.shape) < prob)
-        count = float(np.count_nonzero(take))
-        if count:
-            buyers[node.bundle] = buyers.get(node.bundle, 0.0) + count
+        if node.offer.price > 0:
+            take = alive & (rng.random(size=prob.shape) < prob)
+        else:
+            take = np.zeros(prob.shape, dtype=bool)  # never taken, no draw
+        buyers[node.bundle] = float(np.count_nonzero(take))
         pay = np.where(take, node.offer.price, 0.0)
         remaining = alive & ~take
         for _state, child_prob, kids, child_node in child_results:

@@ -135,4 +135,5 @@ def default_engine(
         chunk_elements=config.chunk_elements,
         n_workers=config.n_workers,
         state_dtype=config.state_dtype,
+        drift_threshold=config.drift_threshold,
     )

@@ -2,34 +2,34 @@
 
 :meth:`repro.api.BundlingSolution.quote` is correct but *cold*: every call
 re-validates the solution, rebuilds a :class:`RevenueEngine` from the stored
-config, rebuilds the adoption model, and (for mixed menus) re-derives the
-laminar offer forest — all menu-side work that never changes between
-requests.  :class:`ServingState` does that work exactly once:
+config and rebuilds the adoption model — menu-side work that never changes
+between requests.  :class:`ServingState` does that work exactly once:
 
-* the **offer supports** (per-offer item-index arrays) and Equation-1 scale
-  factors;
-* the **compiled offer forest** (mixed menus) and a single built adoption
-  model;
+* the **compiled offer forest**, the configuration's own
+  :class:`~repro.core.choice.ForestPlan` (a pure menu's is every offer
+  as a root), and a single built adoption model;
 * the solution **fingerprint**, stamped on every response so clients can
   detect version skew across hot reloads.
 
 Bit-identity is the design constraint: a quote answered from warm state
 must equal ``solution.quote()`` to the last ulp.  The warm path therefore
-runs the *same* code as the cold one: :meth:`WTPMatrix.raw_sum` and the
-adoption model's vectorized ``probability`` for pure menus, and the
-configuration's own compiled :class:`~repro.core.choice.ForestPlan` for
-mixed ones (asked for payments only) — only the per-call rebuild work is
-skipped.  Because every per-user quantity in those kernels is computed
-elementwise (or reduced along each user's own row), stacking many
-requests' rows into one batch matrix and pricing them with one kernel call
-yields, for each request, exactly the payments, revenue, and coverage that
-quoting its rows alone would have produced.  That claim is pinned by
-``tests/test_serving.py`` across batch sizes, adoption models, and engine
-configurations.  One exception: numpy sums a one-row bundle gather
-pairwise and a gather of more rows left to right, so where those sums
-round (bundles of 8+ items on WTP off the ratings grid) a one-row request
-priced inside a larger batch can differ in the last bit from the same row
-quoted alone (ROADMAP item 3).
+runs the *same* code as the cold one — the plan, and the configuration's
+revenue rule — only the per-call rebuild work is skipped.  A pure menu's
+revenue is Σ price · buyers, so its batch runs one
+:meth:`~repro.core.choice.ForestPlan.evaluate_ranges` pass that reduces
+each request's buyers over its own rows; a mixed menu's revenue is the
+payments' sum, so its batch asks the plan for payments only.  Because
+every per-user quantity in the plan is computed elementwise (or reduced
+along each user's own row), stacking many requests' rows into one batch
+matrix and pricing them with one kernel call yields, for each request,
+exactly the payments, revenue, and coverage that quoting its rows alone
+would have produced.  That claim is pinned by ``tests/test_serving.py``
+across batch sizes, adoption models, and engine configurations.  One
+exception: numpy sums a one-row bundle gather pairwise and a gather of
+more rows left to right, so where those sums round (bundles of 8+ items
+on WTP off the ratings grid) a one-row request priced inside a larger
+batch can differ in the last bit from the same row quoted alone (ROADMAP
+item 3).
 
 The ``quote_batch`` fault site lives here: when armed it raises
 :class:`~repro.errors.ServingError` before pricing, standing in for a
@@ -46,14 +46,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import faults
-from repro.core.choice import ForestPlan
-from repro.core.configuration import MixedConfiguration
+from repro.core.choice import ChoiceOutcome, ForestPlan
 from repro.core.wtp import WTPMatrix
 from repro.errors import ServingError, ValidationError
 
-#: Strategy tags (mirrors :mod:`repro.algorithms.base`).
+#: The pure strategy tag (mirrors :mod:`repro.algorithms.base`).
 _PURE = "pure"
-_MIXED = "mixed"
 
 
 @dataclass(frozen=True)
@@ -121,21 +119,9 @@ class ServingState:
         self.n_items: int = solution.n_items
         self.theta: float = config.theta
         self.adoption = config.adoption.build()
-        # Menu-side precomputes: per-offer supports (item-index arrays) and
-        # Equation-1 scale factors.
-        offers = solution.configuration.offers
-        self.offers = offers
-        self.offer_supports: tuple[np.ndarray, ...] = tuple(
-            np.asarray(offer.bundle.items, dtype=np.intp) for offer in offers
-        )
-        self.offer_scales: tuple[float, ...] = tuple(
-            1.0 + self.theta if offer.bundle.size >= 2 else 1.0
-            for offer in offers
-        )
-        if isinstance(solution.configuration, MixedConfiguration):
-            self.plan: ForestPlan | None = solution.configuration.plan()
-        else:
-            self.plan = None
+        self.configuration = solution.configuration
+        self.offers = self.configuration.offers
+        self.plan: ForestPlan = self.configuration.plan()
 
     # -------------------------------------------------------------- admission
     def prepare_rows(self, rows) -> PreparedRows:
@@ -158,9 +144,7 @@ class ServingState:
                 f"quote rows have {matrix.n_items} items; the serving solution "
                 f"was fitted on {self.n_items}"
             )
-        return PreparedRows(
-            raw=rows, matrix=matrix, total_wtp=matrix.total, state=self
-        )
+        return PreparedRows(raw=rows, matrix=matrix, total_wtp=matrix.total, state=self)
 
     # ---------------------------------------------------------------- pricing
     def quote_batch(self, blocks: list[PreparedRows]) -> list[ServedQuote]:
@@ -196,31 +180,27 @@ class ServingState:
             matrix = blocks[0].matrix
         else:
             matrix = WTPMatrix.stack([block.matrix for block in blocks])
-        bounds = np.cumsum([0] + [block.n_users for block in blocks])
-        if self.plan is None:
-            payments, per_offer_probs = self._pure_pass(matrix)
+        bounds = np.cumsum([0] + [block.n_users for block in blocks]).tolist()
+        if self.strategy == _PURE:
+            # Pure revenue is Σ price · buyers, so each request's buyers
+            # come from the one pass, reduced over its own rows.
+            outcomes = self.plan.evaluate_ranges(
+                matrix, self.theta, self.adoption, bounds
+            )
         else:
+            # Mixed revenue is the payments' sum: no buyers pass.
             payments = self.plan.payments(matrix, self.theta, self.adoption)
-            per_offer_probs = None
+            outcomes = [
+                ChoiceOutcome(payments=payments[lo:hi], buyers_per_offer={})
+                for lo, hi in zip(bounds[:-1], bounds[1:])
+            ]
         quotes = []
-        for block, lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
-            lo, hi = int(lo), int(hi)
-            if per_offer_probs is not None:
-                # Pure menus: replay evaluate()'s per-offer accumulation
-                # order over this block's slice of the batch probabilities
-                # (a contiguous slice sums bit-identically to the
-                # standalone array the cold path would have reduced).
-                revenue = 0.0
-                for offer, probs in zip(self.offers, per_offer_probs):
-                    if offer.price <= 0:
-                        continue
-                    revenue += offer.price * float(probs[lo:hi].sum())
-            else:
-                revenue = float(payments[lo:hi].sum())
+        for block, outcome in zip(blocks, outcomes):
+            revenue = self.configuration.revenue(outcome)
             quotes.append(
                 ServedQuote(
-                    payments=payments[lo:hi].copy(),
-                    revenue=float(revenue),
+                    payments=outcome.payments.copy(),
+                    revenue=revenue,
                     coverage=self._coverage(revenue, block.total_wtp),
                     fingerprint=self.fingerprint,
                     batched=batched,
@@ -229,26 +209,6 @@ class ServingState:
         return quotes
 
     # ------------------------------------------------------------- internals
-    def _pure_pass(self, matrix: WTPMatrix) -> tuple[np.ndarray, list]:
-        """Per-user payments + per-offer adoption over the whole batch.
-
-        The exact loop of :func:`repro.core.evaluation._pure_pass`, run
-        against the precomputed offer supports instead of a rebuilt engine.
-        """
-        payments = np.zeros(matrix.n_users)
-        per_offer_probs: list[np.ndarray | None] = []
-        for items, scale, offer in zip(
-            self.offer_supports, self.offer_scales, self.offers
-        ):
-            if offer.price <= 0:
-                per_offer_probs.append(None)
-                continue
-            bundle_wtp = matrix.raw_sum(items) * scale
-            probs = self.adoption.probability(bundle_wtp, offer.price)
-            payments += offer.price * probs
-            per_offer_probs.append(probs)
-        return payments, per_offer_probs
-
     @staticmethod
     def _coverage(revenue: float, total_wtp: float) -> float:
         """``RevenueEngine.coverage`` against a precomputed denominator."""

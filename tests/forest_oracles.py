@@ -6,7 +6,12 @@ library's own state primitives (:func:`~repro.core.choice.merged_state`,
 :func:`~repro.core.choice.upgrade_probability`) and WTP callback, so every
 floating-point operation happens in the order the plan must reproduce:
 children folded in child order, roots in root order, and each offer's
-buyers reduced over the whole population at once.
+buyers reduced over the whole population at once.  A leaf decides by the
+standalone rule ``u >= -decision_tolerance(p)`` alone, and an offer priced
+<= 0 is never taken.
+
+:func:`pure_menu_outcome` is the per-offer loop that priced pure menus
+before they became forests of roots: the oracle for a pure menu's plan.
 """
 
 from __future__ import annotations
@@ -42,10 +47,19 @@ def recursive_evaluate_forest(
             child_results = []
             zero = np.zeros_like(utility)
             base = SubtreeState(zero, zero.copy())
-        take = upgrade_probability(utility, base.score, adoption)
-        if adoption.is_deterministic:
-            take = take * (utility >= -decision_tolerance(node.offer.price))
-        state = merged_state(base, utility, node.offer.price, adoption)
+        price = node.offer.price
+        if adoption.is_deterministic and not node.children:
+            # A leaf decides by the standalone rule alone.
+            take = (utility >= -decision_tolerance(price)).astype(np.float64)
+        else:
+            take = upgrade_probability(utility, base.score, adoption)
+            if adoption.is_deterministic:
+                take = take * (utility >= -decision_tolerance(price))
+        state = merged_state(base, utility, price, adoption)
+        if price <= 0:
+            # Never taken: no buyers, and the base's payment stands.
+            take = np.zeros_like(take)
+            state = SubtreeState(state.score, base.pay)
         return state, take, child_results
 
     def top_down(node_take, child_results, node: OfferNode, alive: np.ndarray) -> None:
@@ -73,3 +87,26 @@ def engine_wtp_of(wtp: WTPMatrix, theta: float):
         return wtp.raw_sum(bundle.items) * scale
 
     return wtp_of
+
+
+def pure_menu_outcome(
+    offers, wtp: WTPMatrix, theta: float, adoption: AdoptionModel
+) -> tuple[np.ndarray, dict, float]:
+    """Payments, buyers and revenue of a pure (disjoint) menu, one offer at
+    a time in offer order: each offer's standalone adoption probability,
+    offers priced <= 0 skipped (no buyers, no payment), and the revenue
+    summed as price * buyers in offer order."""
+    wtp_of = engine_wtp_of(wtp, theta)
+    total = 0.0
+    buyers = {}
+    payments = np.zeros(wtp.n_users)
+    for offer in offers:
+        if offer.price <= 0:
+            buyers[offer.bundle] = 0.0
+            continue
+        probs = adoption.probability(wtp_of(offer.bundle), offer.price)
+        count = float(probs.sum())
+        buyers[offer.bundle] = count
+        total += offer.price * count
+        payments += offer.price * probs
+    return payments, buyers, total

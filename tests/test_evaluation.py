@@ -6,13 +6,8 @@ import pytest
 from repro.core.adoption import SigmoidAdoption
 from repro.core.bundle import Bundle
 from repro.core.configuration import MixedConfiguration, PureConfiguration
-from repro.core.evaluation import (
-    evaluate,
-    expected_mixed_revenue,
-    expected_pure_revenue,
-    revenue_gain,
-    sample_pure_revenue,
-)
+from repro.core.choice import sample_forest
+from repro.core.evaluation import evaluate, revenue_gain
 from repro.core.pricing import PricedBundle
 from repro.core.revenue import RevenueEngine
 from repro.core.wtp import WTPMatrix
@@ -50,7 +45,8 @@ class TestPureEvaluation:
              PricedBundle(Bundle.of(1), 4.0, 0.0, 0.0)],
             2,
         )
-        revenue, buyers = expected_pure_revenue(config, two_item_engine)
+        report = evaluate(config, two_item_engine, n_runs=0)
+        revenue, buyers = report.expected_revenue, report.buyers_per_offer
         # item0 at 6: users 0,1 buy (12); item1 at 4: users 1,2 buy (8).
         assert revenue == pytest.approx(20.0)
         assert buyers[Bundle.of(0)] == 2.0
@@ -62,7 +58,8 @@ class TestPureEvaluation:
              PricedBundle(Bundle.of(1), 4.0, 0.0, 0.0)],
             2,
         )
-        revenue, buyers = expected_pure_revenue(config, two_item_engine)
+        report = evaluate(config, two_item_engine, n_runs=0)
+        revenue, buyers = report.expected_revenue, report.buyers_per_offer
         assert revenue == pytest.approx(8.0)
         assert buyers[Bundle.of(0)] == 0.0
 
@@ -72,8 +69,11 @@ class TestPureEvaluation:
              PricedBundle(Bundle.of(1), 4.0, 0.0, 0.0)],
             2,
         )
-        expected, _ = expected_pure_revenue(config, two_item_engine)
-        assert sample_pure_revenue(config, two_item_engine, rng) == pytest.approx(expected)
+        expected = evaluate(config, two_item_engine, n_runs=0).expected_revenue
+        engine = two_item_engine
+        roots = config.forest()
+        sampled = sample_forest(roots, engine.bundle_wtp, engine.adoption, rng)
+        assert config.revenue(sampled) == pytest.approx(expected)
 
     def test_stochastic_runs_recorded(self):
         wtp = WTPMatrix(np.full((50, 1), 10.0))
@@ -101,7 +101,8 @@ class TestMixedEvaluation:
             PricedBundle(Bundle.of(0, 1), 9.0, 0.0, 0.0),
         ]
         config = MixedConfiguration(offers, 2)
-        revenue, buyers = expected_mixed_revenue(config, two_item_engine)
+        report = evaluate(config, two_item_engine, n_runs=0)
+        revenue, buyers = report.expected_revenue, report.buyers_per_offer
         # u0: surplus item0=4 vs bundle (12-9)=3 -> item0 (6).
         # u1: items 0+4=4... item0 s=0, item1 s=4, both s=4, bundle 14-9=5 -> bundle (9).
         # u2: item1 s=0, bundle 4-9<0 -> item1 (4).
@@ -129,3 +130,45 @@ class TestMixedEvaluation:
         components = Components().fit(medium_engine)
         mixed = IterativeMatching(strategy="mixed").fit(medium_engine)
         assert mixed.expected_revenue >= components.expected_revenue - 1e-6
+
+
+class TestFitEvaluationQuoteAgree:
+    """Fit, evaluation and quote count the same buyers on the same users."""
+
+    def test_leaf_band_matches_the_pricer(self):
+        # One user a hair (5e-9) under the price adopts by the standalone
+        # rule u >= -decision_tolerance(p); a childless offer in a menu must
+        # decide by that rule too, pure or mixed.
+        engine = RevenueEngine(WTPMatrix([[10.0, 3.0], [10.0 - 5e-9, 4.0]]))
+        singles = [engine.price_bundle(Bundle.of(item)) for item in (0, 1)]
+        assert singles[0].price == 10.0 and singles[0].buyers == 2.0
+        top = PricedBundle(Bundle.of(0, 1), 100.0, 0.0, 0.0)
+        for config in (
+            PureConfiguration(singles, 2),
+            MixedConfiguration(singles + [top], 2),
+        ):
+            buyers = evaluate(config, engine, n_runs=0).buyers_per_offer
+            for offer in singles:
+                assert buyers[offer.bundle] == offer.buyers, type(config).__name__
+
+    def test_zero_priced_offer_has_no_buyers(self):
+        # An item nobody values is priced 0 and sells to nobody: the fit,
+        # quote() and evaluate() must all report 0 buyers for it, pure or
+        # mixed.
+        from repro.api import BundlingSolver, EngineConfig
+
+        values = np.random.default_rng(0).lognormal(1.0, 0.6, size=(200, 8))
+        values[:, 3] = 0.0
+        wtp = WTPMatrix(values)
+        algorithms = ("pure_matching", "components", "mixed_matching", "mixed_greedy")
+        for algorithm in algorithms:
+            solution = BundlingSolver(algorithm, EngineConfig()).fit(wtp)
+            quoted = solution.quote(values).buyers_per_offer
+            engine = solution.engine_config.build(wtp)
+            report = evaluate(solution.configuration, engine, n_runs=0)
+            zero_priced = [o for o in solution.configuration.offers if o.price <= 0]
+            assert zero_priced, algorithm
+            for offer in zero_priced:
+                evaluated = report.buyers_per_offer[offer.bundle]
+                counts = (offer.buyers, quoted[offer.bundle], evaluated)
+                assert counts == (0.0, 0.0, 0.0), algorithm

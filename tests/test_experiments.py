@@ -136,6 +136,24 @@ class TestDefaults:
         assert engine.grid is grid
         assert engine.objective is objective
 
+    def test_default_engine_escape_hatch_keeps_drift_threshold(self, small_wtp):
+        """grid=, objective= and adoption subclasses keep drift_threshold."""
+        from repro.core.adoption import StepAdoption
+        from repro.core.pricing import PriceGrid
+        from repro.core.revenue import Objective
+
+        class TracingStep(StepAdoption):
+            pass
+
+        for extra in (
+            {},
+            {"grid": PriceGrid(n_levels=50)},
+            {"objective": Objective(profit_weight=1.0)},
+            {"adoption": TracingStep()},
+        ):
+            engine = default_engine(small_wtp, drift_threshold=0.2, **extra)
+            assert engine.drift_threshold == 0.2, extra
+
     def test_default_engine_rejects_unknown_options(self, small_wtp):
         from repro.errors import ValidationError
 

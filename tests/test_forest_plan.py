@@ -10,6 +10,11 @@ ratings grid (exact ties) or are lognormal (summation order shows), with
 zero-WTP rows, and most offers are priced at some user's bundle WTP, so
 surplus ties of exactly zero are common.  User
 counts straddle the plan's row block: 1, 2, block − 1, block, block + 1.
+
+A pure menu is a forest of roots in offer order.  Its plan must equal the
+per-offer loop of ``tests/forest_oracles.py`` bit for bit: payments, buyers,
+and the revenue summed as price · buyers in offer order, on menus fitted by
+``pure_matching``, ``pure_greedy`` and ``components``.
 """
 
 import numpy as np
@@ -17,14 +22,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms import make_algorithm
 from repro.core.adoption import SigmoidAdoption, StepAdoption
 from repro.core.bundle import Bundle
 from repro.core.choice import ForestPlan, build_forest, evaluate_forest
 from repro.core.configuration import MixedConfiguration
+from repro.core.evaluation import evaluate
 from repro.core.pricing import PricedBundle
+from repro.core.revenue import RevenueEngine
 from repro.core.wtp import WTPMatrix
 
-from forest_oracles import engine_wtp_of, recursive_evaluate_forest
+from forest_oracles import engine_wtp_of, pure_menu_outcome, recursive_evaluate_forest
 
 #: Item count and root bundle sizes per forest shape.
 SHAPES = {
@@ -176,3 +184,74 @@ def test_plan_layout():
         fanouts = [len(plan.nodes[row].children) for row in range(level.lo, level.hi)]
         assert fanouts == sorted(fanouts, reverse=True)
         assert level.counts == [sum(f > k for f in fanouts) for k in range(fanouts[0])]
+
+
+def segmented_values(rng, n_users: int, n_items: int) -> np.ndarray:
+    """Lognormal WTP in five user segments, each valuing its own fifth of
+    the items (the continuous golden's recipe), so pure fits end in several
+    bundles; one item nobody values gets a zero-priced offer."""
+    values = rng.lognormal(1.0, 0.6, size=(n_users, n_items))
+    segment = rng.integers(5, size=n_users)
+    own = segment[:, None] == (np.arange(n_items) % 5)[None, :]
+    values[rng.random((n_users, n_items)) < np.where(own, 0.3, 0.97)] = 0.0
+    values[:, 7] = 0.0
+    return values
+
+
+@pytest.fixture(scope="module")
+def pure_fits():
+    """Pure menus fitted on continuous WTP, per algorithm and adoption
+    model, with the engine they were fitted on."""
+    wtp = WTPMatrix(segmented_values(np.random.default_rng(17), 300, 30))
+    fits = {}
+    for algorithm in ("pure_matching", "pure_greedy", "components"):
+        for name, model in ADOPTIONS.items():
+            engine = RevenueEngine(wtp, theta=THETA, adoption=model)
+            result = make_algorithm(algorithm).fit(engine)
+            fits[algorithm, name] = (result.configuration, engine)
+    return fits
+
+
+@pytest.mark.parametrize("algorithm", ["pure_matching", "pure_greedy", "components"])
+@pytest.mark.parametrize("adoption", sorted(ADOPTIONS))
+def test_pure_menu_plan_matches_per_offer_loop(pure_fits, algorithm, adoption):
+    config, engine = pure_fits[algorithm, adoption]
+    model = ADOPTIONS[adoption]
+    plan = config.plan()
+    assert [plan.nodes[k].offer for k in plan.roots] == list(config.offers)
+    fitted = engine.wtp.values
+    held_out = segmented_values(np.random.default_rng(5), 2, 30)
+    for values in (fitted, fitted[:1], held_out):
+        wtp = WTPMatrix(values)
+        payments, buyers, revenue = pure_menu_outcome(config.offers, wtp, THETA, model)
+        outcome = plan.evaluate(wtp, THETA, model)
+        assert outcome.payments.tobytes() == payments.tobytes()
+        assert list(outcome.buyers_per_offer) == list(buyers)
+        assert hex_buyers(outcome) == {b: float(n).hex() for b, n in buyers.items()}
+        assert config.revenue(outcome).hex() == revenue.hex()
+    # evaluate() takes the same revenue sum on the fitted population.
+    _, _, revenue = pure_menu_outcome(config.offers, engine.wtp, THETA, model)
+    assert evaluate(config, engine, n_runs=0).expected_revenue.hex() == revenue.hex()
+
+
+@pytest.mark.parametrize("adoption", sorted(ADOPTIONS))
+@pytest.mark.parametrize("menu", ["pure", "mixed"])
+def test_ranges_match_their_own_rows(pure_fits, adoption, menu):
+    """Each user range of one stacked pass equals evaluating its rows alone."""
+    model = ADOPTIONS[adoption]
+    rng = np.random.default_rng(23)
+    if menu == "pure":
+        config, _ = pure_fits["pure_matching", adoption]
+    else:
+        offers = random_offers(rng, "medium", user_values(rng, 50, 40))
+        config = MixedConfiguration(offers, 40)
+    # At least two rows each: numpy sums a one-row bundle gather in another
+    # order (ROADMAP item 3), so a lone row is not bit-stable across batches.
+    sizes = (2, 3, 2, 7, 2, 12)
+    values = segmented_values(rng, sum(sizes), config.n_items)
+    bounds = np.cumsum((0,) + sizes).tolist()
+    outcomes = config.plan().evaluate_ranges(WTPMatrix(values), THETA, model, bounds)
+    assert len(outcomes) == len(sizes)
+    for outcome, lo, hi in zip(outcomes, bounds[:-1], bounds[1:]):
+        alone = config.plan().evaluate(WTPMatrix(values[lo:hi]), THETA, model)
+        assert_bit_identical(outcome, alone)

@@ -28,12 +28,12 @@ import pytest
 from repro.algorithms.greedy import GreedyMerge
 from repro.algorithms.matching_iterative import IterativeMatching
 from repro.algorithms.setpacking import enumerate_bundle_revenues
-from repro.core.adoption import SigmoidAdoption, StepAdoption
+from repro.core.adoption import SigmoidAdoption
 from repro.core.bundle import Bundle
 from repro.core.choice import SubtreeState
 from repro.core import faults
 from repro.core.kernels import check_n_workers, run_chunks
-from repro.core.pricing import PriceGrid, tree_sum
+from repro.core.pricing import tree_sum
 from repro.core.revenue import RevenueEngine
 from repro.data.wtp_mapping import list_price_revenue
 from repro.errors import ValidationError

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from matching_oracles import brute_force_matching, pairs_weight
 
-from repro.core.adoption import SigmoidAdoption, StepAdoption
+from repro.core.adoption import SigmoidAdoption
 from repro.core.bundle import Bundle
 from repro.core.pricing import PriceGrid, price_pure
 from repro.core.revenue import RevenueEngine
@@ -197,13 +197,13 @@ def test_pure_configuration_never_worse_than_components(matrix):
 def test_step_evaluation_matches_stored_revenue(matrix):
     """Components' evaluated revenue equals its stored per-offer revenue."""
     from repro.algorithms.components import Components
-    from repro.core.evaluation import expected_pure_revenue
+    from repro.core.evaluation import evaluate
 
     if matrix.sum() == 0:
         return
     engine = RevenueEngine(WTPMatrix(matrix))
     result = Components().fit(engine)
-    recomputed, _ = expected_pure_revenue(result.configuration, engine)
+    recomputed = evaluate(result.configuration, engine, n_runs=0).expected_revenue
     assert abs(recomputed - result.expected_revenue) < 1e-9
 
 

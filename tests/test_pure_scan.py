@@ -24,7 +24,7 @@ from hypothesis.extra.numpy import arrays
 from repro import obs
 from repro.algorithms.components import Components
 from repro.core.adoption import StepAdoption
-from repro.core.evaluation import expected_pure_revenue
+from repro.core.evaluation import evaluate
 from repro.core.kernels import SCAN_BLOCK_ELEMENTS, stream_pure_prices
 from repro.core.pricing import DEFAULT_CHUNK_ELEMENTS, PriceGrid, price_pure_batch
 from repro.core.revenue import RevenueEngine
@@ -168,7 +168,7 @@ def test_subnormal_tops_price_like_the_oracle():
             )
     engine = RevenueEngine(WTPMatrix(block))
     result = Components().fit(engine)
-    recomputed, _ = expected_pure_revenue(result.configuration, engine)
+    recomputed = evaluate(result.configuration, engine, n_runs=0).expected_revenue
     assert abs(recomputed - result.expected_revenue) < 1e-9
 
 

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.adoption import SigmoidAdoption, StepAdoption
+from repro.core.adoption import SigmoidAdoption
 from repro.core.bundle import Bundle
-from repro.core.pricing import PriceGrid
 from repro.core.revenue import Objective, RevenueEngine
 from repro.core.wtp import WTPMatrix
 from repro.errors import ValidationError
